@@ -17,10 +17,8 @@ from __future__ import annotations
 from .arcs import Arc, Seg
 from .ktheory import ModClass, coindex, theta
 from .laurent import LaurentPoly
-from .modules import StringModule, SubmoduleClassTable, g_module, submodule_classes
+from .modules import g_module, submodule_classes
 from .triangulation import Triangulation
-
-__all__ = ["cc_direct", "g_module", "submodule_classes", "StringModule", "SubmoduleClassTable"]
 
 
 def cc_direct(P: Triangulation, c: Seg) -> LaurentPoly:

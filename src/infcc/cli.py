@@ -13,7 +13,7 @@ import re
 import sys
 from typing import List, Optional
 
-from .arcs import Arc, Edge
+from .arcs import Arc, Edge, arc
 from .errors import (
     InfccError,
     InfiniteCrossers,
@@ -66,7 +66,7 @@ def parse_triangulation(text: str) -> Triangulation:
 
 def parse_arc(text: str) -> Arc:
     m, n = (int(v) for v in text.split(","))
-    return Arc(m, n)
+    return arc(m, n)
 
 
 def _seg_json(s):

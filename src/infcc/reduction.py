@@ -119,8 +119,9 @@ def cofinite_uspec_for(T: Triangulation, c: Arc, simples_of: Iterable[Arc] = ())
         pad_members = set(T.members_in_window(lo - 1, hi + 1))
         # members with an endpoint in [lo, hi] but reaching outside the window
         for v in range(lo, hi + 1):
-            partners, complete = T._partner_candidates(v)
-            assert complete
+            partners, complete = T.partners(v)
+            if not complete:
+                raise InfiniteCrossers(v)
             for w in partners:
                 a = Arc(min(v, w), max(v, w))
                 if T.is_member(a):

@@ -27,7 +27,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .arcs import Arc
 from .errors import ExactnessFailure, NonAdmissibleFrontier, NotLocallyFinite
 from .modules import count_submodules, g_module
-from .triangulation import Triangulation, nested_zigzag, staircase
+from .triangulation import Triangulation, staircase
 
 Cell = Tuple[int, int]
 
@@ -219,9 +219,7 @@ def _solve_square(r: Dict[Cell, int], a: int, b: int, missing: Cell) -> int:
         num, den = r[p00] * r[p11] - 1, r[p10]
     else:
         num, den = r[p00] * r[p11] - 1, r[p01]
-    if den == 0 or num % den != 0 or num // den <= 0:
-        raise ExactnessFailure(f"cell {missing}: {num}/{den} is not a positive integer")
-    return num // den
+    return _div_positive(num, den, missing)
 
 
 def _div_positive(num: int, den: int, cell: Cell) -> int:
@@ -311,10 +309,9 @@ def q_overlap_fill(F: Frontier, lo: int, hi: int) -> Dict[Cell, int]:
 def frontier_to_triangulation(F: Frontier) -> Triangulation:
     """The locally finite triangulation cut out by the frontier inside Q.
 
-    The path meets Q in a staircase of arcs; the result is the nested
-    zigzag family when the trace is strictly alternating, otherwise a
-    staircase family.  Raises NonAdmissibleFrontier when the declared
-    window misses Q entirely.
+    The path meets Q in a staircase of arcs, so the result is a staircase
+    family; a strictly alternating trace gives the nested zigzag.  Raises
+    NonAdmissibleFrontier when the declared window misses Q entirely.
     """
     if not any(_in_q(p) for p in F.window_points()):
         raise NonAdmissibleFrontier("frontier window lies outside the half plane")
@@ -336,12 +333,7 @@ def frontier_to_triangulation(F: Frontier) -> Triangulation:
     # the alternation phase of the extension
     pts = _points_from(F, entry, len(F.word) + 2)
     word = "".join("U" if b[0] < a[0] else "R" for a, b in zip(pts, pts[1:]))
-    cand = staircase(entry, word)
-    zig = nested_zigzag(entry[0])
-    probe = cand.base.arcs_until(entry[0] - len(word) - 3, entry[1] + len(word) + 3)
-    if all(zig.is_member(a) for a in probe):
-        return zig
-    return cand
+    return staircase(entry, word)
 
 
 def _points_from(F: Frontier, entry: Cell, count: int) -> List[Cell]:

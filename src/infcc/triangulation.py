@@ -10,26 +10,32 @@ closed-form rules on the base corrected by the patch.
 Base families
 -------------
 * ``FountainBase(n)`` -- all arcs (m, n) and (n, p): two infinite fans at n.
-* ``ZigzagBase(anchor)`` -- the nested zigzag (a, a+2), (a-1, a+2),
-  (a-1, a+3), (a-2, a+3), ...; membership is the closed form
-  m + n in {2a+1, 2a+2}.
-* ``StaircaseBase(entry, word)`` -- a zigzag-with-runs family described by a
-  staircase word; generalises ZigzagBase and is produced from frontiers.
+* ``StaircaseBase(entry, word)`` -- one arc of every width, nested: `entry`
+  on the bottom row, then the steps of a staircase word, then strictly
+  alternating steps.  The nested zigzag (a, a+2), (a-1, a+2), (a-1, a+3),
+  (a-2, a+3), ... is the empty-word staircase at (a, a+2); ``zigzag:a`` and
+  ``nested_zigzag(a)`` are shorthands for it.
 * ``PolygonBase(lo, hi, diagonals)`` -- diagonals of the finite polygon with
   vertices {lo..hi}; the boundary consists of the segments (i, i+1) plus the
   long side (lo, hi).
+
+Every base answers the same queries, on arcs (m, n) with n - m >= 2:
+``member(x)``, ``partners(v)`` (co-endpoints of the base arcs at v and
+whether that list is complete), ``members_in_window(lo, hi)``,
+``spanning_candidates(d)`` (base arcs spanning d, innermost first) and
+``kind``.  `Triangulation` applies the flip patch on top of them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .arcs import Arc, Edge, Seg, arc, crosses, seg, spans
 from .errors import (
     FlipTargetNotMember,
-    InfccError,
     InfiniteCrossers,
     NotAMember,
     UnknownFamily,
@@ -43,10 +49,31 @@ from .errors import (
 class FountainBase:
     n: int
 
+    kind: ClassVar[str] = "fountain"
 
-@dataclass(frozen=True)
-class ZigzagBase:
-    anchor: int
+    def member(self, x: Arc) -> bool:
+        return x.n == self.n or x.m == self.n
+
+    def partners(self, v: int) -> Tuple[Sequence[int], bool]:
+        if v == self.n:
+            return (), False  # the fans at the fountain are infinite
+        return ((self.n,) if abs(v - self.n) >= 2 else ()), True
+
+    def members_in_window(self, lo: int, hi: int) -> List[Arc]:
+        if not lo <= self.n <= hi:
+            return []
+        return ([Arc(m, self.n) for m in range(lo, self.n - 1)]
+                + [Arc(self.n, p) for p in range(self.n + 2, hi + 1)])
+
+    def spanning_candidates(self, d: Arc) -> Iterable[Arc]:
+        n0 = self.n
+        if d.n <= n0:
+            start = d.m - 1 if d.n == n0 else d.m
+            return (Arc(m, n0) for m in itertools.count(start, -1))
+        if d.m >= n0:
+            start = d.n + 1 if d.m == n0 else d.n
+            return (Arc(n0, p) for p in itertools.count(start))
+        return ()  # d straddles the fountain: no fan arc spans it
 
 
 @dataclass(frozen=True)
@@ -55,49 +82,92 @@ class StaircaseBase:
 
     Letters: 'U' lowers the left endpoint by one, 'R' raises the right
     endpoint by one.  Beyond the word the staircase continues with strictly
-    alternating steps (starting with the opposite of the last letter), so
-    the family is always locally finite.
+    alternating steps (starting with the opposite of the last letter, or
+    with 'U' after the empty word), so the family is always locally finite.
+    Trailing letters that this tail would produce anyway are stripped, so
+    equal families compare and hash equal.
+
+    The k-th arc has width k + 2 and left endpoint entry.m - u(k), where
+    u(k) counts the U steps among the first k.  Membership is therefore
+    closed form: a prefix count lookup for k < len(word), and beyond the
+    word m + n takes one of the two values in `_tail_sums`.
     """
 
     entry: Arc
     word: str
+    _ups: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _rights: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _tail_sums: Tuple[int, int] = field(init=False, repr=False, compare=False)
+
+    kind: ClassVar[str] = "locally_finite"
 
     def __post_init__(self):
         if self.entry.n - self.entry.m != 2:
             raise ValueError("staircase entry must lie on the bottom row")
         if any(ch not in "UR" for ch in self.word):
             raise ValueError(f"staircase word must use letters U/R, got {self.word!r}")
+        word = self.word
+        while word and word[-1] == _tail_start(word[:-1]):
+            word = word[:-1]
+        counts = tuple(itertools.accumulate((ch == "U" for ch in word), initial=0))
+        ups = counts[:-1]
+        # the arc of width len(word) + 2 has m + n = s; each later step
+        # moves the sum by one, back and forth
+        s = self.entry.m + self.entry.n - 2 * counts[-1] + len(word)
+        step = -1 if _tail_start(word) == "U" else 1
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "_ups", ups)
+        object.__setattr__(self, "_rights", tuple(k - u for k, u in enumerate(ups)))
+        object.__setattr__(self, "_tail_sums", (s, s + step))
 
-    def steps(self):
-        """Infinite iterator of letters: the word, then strict alternation."""
-        last = None
-        for ch in self.word:
-            last = ch
-            yield ch
-        if last is None:
-            last = "R"  # empty word alternates starting with 'U'
-        while True:
-            last = "U" if last == "R" else "R"
-            yield last
+    def arc_at(self, k: int) -> Arc:
+        """The family arc of width k + 2."""
+        w = len(self._ups)
+        if k < w:
+            u = self._ups[k]
+        else:
+            u = self.word.count("U") + (k - w + (_tail_start(self.word) == "U")) // 2
+        return Arc(self.entry.m - u, self.entry.n + k - u)
 
-    def arcs_iter(self):
-        """Infinite iterator over the family arcs, innermost first."""
-        cur = self.entry
-        yield cur
-        for ch in self.steps():
-            cur = Arc(cur.m - 1, cur.n) if ch == "U" else Arc(cur.m, cur.n + 1)
-            yield cur
+    def member(self, x: Arc) -> bool:
+        k = x.n - x.m - 2
+        if k < len(self._ups):
+            return self._ups[k] == self.entry.m - x.m
+        return x.m + x.n in self._tail_sums
 
-    def arcs_until(self, min_m: int, max_n: int) -> List[Arc]:
-        """Family arcs from the entry until both bounds are passed."""
-        out = [self.entry]
-        cur = self.entry
-        for ch in self.steps():
-            if cur.m < min_m and cur.n > max_n:
-                break
-            cur = Arc(cur.m - 1, cur.n) if ch == "U" else Arc(cur.m, cur.n + 1)
-            out.append(cur)
+    def partners(self, v: int) -> Tuple[Sequence[int], bool]:
+        w = len(self._ups)
+        out = []
+        for s in self._tail_sums:  # tail arcs: width >= w + 2, m + n a tail sum
+            if abs(s - 2 * v) >= w + 2:
+                out.append(s - v)
+        if w:
+            m0, n0 = self.entry
+            ups, rights = self._ups, self._rights
+            # word arcs (v, n): the steps k < w with u(k) == m0 - v
+            c = m0 - v
+            out += [n0 + k - c for k in range(bisect_left(ups, c), bisect_left(ups, c + 1))]
+            # word arcs (m, v): the steps k < w with k - u(k) == v - n0
+            c = v - n0
+            out += [m0 - k + c for k in range(bisect_left(rights, c), bisect_left(rights, c + 1))]
+        return out, True
+
+    def members_in_window(self, lo: int, hi: int) -> List[Arc]:
+        out = []
+        for k in range(hi - lo - 1):
+            a = self.arc_at(k)
+            if a.m < lo or a.n > hi:
+                break  # the arcs are nested, so every later one is outside too
+            out.append(a)
         return out
+
+    def spanning_candidates(self, d: Arc) -> Iterator[Arc]:
+        return (a for a in map(self.arc_at, itertools.count()) if spans(a, d))
+
+
+def _tail_start(word: str) -> str:
+    """First letter of the alternating continuation after `word`."""
+    return "R" if word.endswith("U") else "U"
 
 
 @dataclass(frozen=True)
@@ -105,6 +175,8 @@ class PolygonBase:
     lo: int
     hi: int
     diagonals: frozenset
+
+    kind: ClassVar[str] = "finite_polygon"
 
     def __post_init__(self):
         if self.hi - self.lo < 2:
@@ -114,6 +186,18 @@ class PolygonBase:
                 raise ValueError(f"{tuple(d)} is not inside the polygon")
             if (d.m, d.n) == (self.lo, self.hi):
                 raise ValueError("the long side (lo, hi) is boundary, not a diagonal")
+
+    def member(self, x: Arc) -> bool:
+        return x in self.diagonals
+
+    def partners(self, v: int) -> Tuple[Sequence[int], bool]:
+        return tuple(d.n if d.m == v else d.m for d in self.diagonals if v in d), True
+
+    def members_in_window(self, lo: int, hi: int) -> List[Arc]:
+        return [d for d in self.diagonals if lo <= d.m and d.n <= hi]
+
+    def spanning_candidates(self, d: Arc) -> List[Arc]:
+        return sorted(t for t in self.diagonals if spans(t, d))
 
 
 @dataclass(frozen=True)
@@ -162,24 +246,10 @@ class Triangulation:
 
     # -- membership --------------------------------------------------------
 
-    def _base_member(self, x: Arc) -> bool:
-        b = self.base
-        if isinstance(b, FountainBase):
-            return x.n == b.n or x.m == b.n
-        if isinstance(b, ZigzagBase):
-            return x.m + x.n in (2 * b.anchor + 1, 2 * b.anchor + 2)
-        if isinstance(b, StaircaseBase):
-            return x in b.arcs_until(x.m, x.n)
-        if isinstance(b, PolygonBase):
-            return x in b.diagonals
-        raise UnknownFamily(f"unknown base {b!r}")
-
     def is_member(self, x: Seg) -> bool:
-        if not isinstance(x, Arc):
+        if not isinstance(x, Arc) or x.n - x.m < 2 or x in self.removed:
             return False
-        if x in self.removed:
-            return False
-        return x in self.added or self._base_member(x)
+        return x in self.added or self.base.member(x)
 
     def side_exists(self, a: int, b: int) -> bool:
         """True when (a, b) is a member arc or a boundary segment."""
@@ -191,7 +261,7 @@ class Triangulation:
 
     @property
     def is_polygon(self) -> bool:
-        return isinstance(self.base, PolygonBase)
+        return self.base.kind == "finite_polygon"
 
     def is_boundary(self, x: Seg) -> bool:
         if isinstance(x, Edge):
@@ -200,69 +270,25 @@ class Triangulation:
 
     # -- enumeration -------------------------------------------------------
 
-    def _partner_candidates(self, v: int) -> Tuple[List[int], bool]:
-        """Co-endpoints of members at vertex v: (candidates, complete flag).
+    def partners(self, v: int) -> Tuple[List[int], bool]:
+        """Co-endpoints of candidate members at vertex v, and a complete flag.
 
-        The flag is False only at a fountain vertex, where the base fans are
-        infinite; the returned list then holds just the patch additions.
+        The candidates are the base arcs at v (removed ones included) and the
+        patch additions.  The flag is False only at a fountain vertex, where
+        the base fans are infinite and only the additions are listed.
         """
-        b = self.base
-        out: List[int] = []
-        complete = True
-        if isinstance(b, FountainBase):
-            if v == b.n:
-                complete = False
-            elif abs(v - b.n) >= 2:
-                out.append(b.n)
-        elif isinstance(b, ZigzagBase):
-            for s in (2 * b.anchor + 1, 2 * b.anchor + 2):
-                w = s - v
-                if abs(w - v) >= 2:
-                    out.append(w)
-        elif isinstance(b, StaircaseBase):
-            for a in b.arcs_until(v, v):
-                if a.m == v:
-                    out.append(a.n)
-                elif a.n == v:
-                    out.append(a.m)
-        elif isinstance(b, PolygonBase):
-            for d in b.diagonals:
-                if d.m == v:
-                    out.append(d.n)
-                elif d.n == v:
-                    out.append(d.m)
-        else:
-            raise UnknownFamily(f"unknown base {b!r}")
+        base, complete = self.base.partners(v)
+        out = set(base)
         for a in self.added:
             if a.m == v:
-                out.append(a.n)
+                out.add(a.n)
             elif a.n == v:
-                out.append(a.m)
-        return sorted(set(out)), complete
+                out.add(a.m)
+        return sorted(out), complete
 
     def members_in_window(self, lo: int, hi: int) -> List[Arc]:
         """Members with both endpoints inside [lo, hi]."""
-        b = self.base
-        out = set()
-        if isinstance(b, FountainBase):
-            if lo <= b.n <= hi:
-                out.update(Arc(m, b.n) for m in range(lo, b.n - 1))
-                out.update(Arc(b.n, p) for p in range(b.n + 2, hi + 1))
-        elif isinstance(b, ZigzagBase):
-            for m in range(lo, hi - 1):
-                for s in (2 * b.anchor + 1, 2 * b.anchor + 2):
-                    n = s - m
-                    if m + 2 <= n <= hi:
-                        out.add(Arc(m, n))
-        elif isinstance(b, StaircaseBase):
-            for a in b.arcs_until(lo, hi):
-                if lo <= a.m and a.n <= hi:
-                    out.add(a)
-        elif isinstance(b, PolygonBase):
-            out.update(d for d in b.diagonals if lo <= d.m and d.n <= hi)
-        else:
-            raise UnknownFamily(f"unknown base {b!r}")
-        out -= self.removed
+        out = set(self.base.members_in_window(lo, hi)) - self.removed
         out.update(a for a in self.added if lo <= a.m and a.n <= hi)
         return sorted(out)
 
@@ -279,78 +305,30 @@ class Triangulation:
         flip patch cannot make that set finite.
         """
         p, q = d
-        if isinstance(self.base, FountainBase) and p < self.base.n < q:
-            raise InfiniteCrossers(self.base.n)
         cands = set()
         for v in range(p + 1, q):
-            partners, complete = self._partner_candidates(v)
-            assert complete
+            partners, complete = self.partners(v)
+            if not complete:
+                raise InfiniteCrossers(v)
             for w in partners:
-                a, b = min(v, w), max(v, w)
-                cands.add(Arc(a, b))
+                cands.add(Arc(min(v, w), max(v, w)))
         hits = [x for x in cands if self.is_member(x) and crosses(x, d)]
         return sorted(hits, key=lambda x: (x.n, 0, -x.m) if x.m < p else (x.m, 1, -x.n))
 
     def spanning_arc(self, d: Arc) -> Optional[Arc]:
-        """Some member spanning d, or None when no member does."""
-        b = self.base
+        """Some member spanning d, or None when no member does.
+
+        An infinite base offers infinitely many spanning arcs, and only
+        finitely many of them can be removed, so the scan ends.
+        """
         for t in sorted(self.added):
             if spans(t, d):
                 return t
-        if isinstance(b, PolygonBase):
-            for t in sorted(self.polygon_members()):
-                if spans(t, d):
-                    return t
-            return None
-        if isinstance(b, FountainBase):
-            n0 = b.n
-            if d.n <= n0:
-                m = d.m - 1 if d.n == n0 else d.m
-                while m >= d.m - len(self.removed) - 2:
-                    t = Arc(m, n0)
-                    if self.is_member(t) and spans(t, d):
-                        return t
-                    m -= 1
-            elif d.m >= n0:
-                p = d.n + 1 if d.m == n0 else d.n
-                while p <= d.n + len(self.removed) + 2:
-                    t = Arc(n0, p)
-                    if self.is_member(t) and spans(t, d):
-                        return t
-                    p += 1
-            return None
-        # locally finite families: the base arcs grow past every window,
-        # so scanning a bounded number of spanning base arcs always succeeds
-        # even after finitely many removals.
-        if isinstance(b, ZigzagBase):
-            def base_arcs():
-                j = 0
-                while True:
-                    yield Arc(b.anchor - j, b.anchor + j + 2)
-                    yield Arc(b.anchor - j - 1, b.anchor + j + 2)
-                    j += 1
-            it = base_arcs()
-        elif isinstance(b, StaircaseBase):
-            it = b.arcs_iter()
-        else:
-            raise UnknownFamily(f"unknown base {b!r}")
-        budget = len(self.removed) + 4
-        for t in it:
-            if spans(t, d):
-                if self.is_member(t):
-                    return t
-                budget -= 1
-                if budget <= 0:
-                    break
-        raise InfccError(f"no spanning member found for {tuple(d)}")
+        return next((t for t in self.base.spanning_candidates(d) if t not in self.removed), None)
 
     def classify(self) -> Classification:
         b = self.base
-        if isinstance(b, FountainBase):
-            return Classification("fountain", b.n)
-        if isinstance(b, PolygonBase):
-            return Classification("finite_polygon")
-        return Classification("locally_finite")
+        return Classification(b.kind, b.n if b.kind == "fountain" else None)
 
     # -- triangles and flips -------------------------------------------------
 
@@ -363,7 +341,7 @@ class Triangulation:
         a, b = t
         cands = {a - 1, b + 1}
         for v in (a, b):
-            partners, _complete = self._partner_candidates(v)
+            partners, _complete = self.partners(v)
             cands.update(partners)
         if self.is_polygon:
             cands.update((self.base.lo, self.base.hi))
@@ -523,7 +501,8 @@ def fountain(n: int, flips: Sequence[Tuple[int, int]] = ()) -> Triangulation:
     return _apply_flips(Triangulation(FountainBase(n)), flips)
 
 def nested_zigzag(anchor: int, flips: Sequence[Tuple[int, int]] = ()) -> Triangulation:
-    return _apply_flips(Triangulation(ZigzagBase(anchor)), flips)
+    """The nested zigzag at `anchor`: the empty-word staircase at (a, a+2)."""
+    return staircase((anchor, anchor + 2), "", flips)
 
 def staircase(entry: Tuple[int, int], word: str, flips: Sequence[Tuple[int, int]] = ()) -> Triangulation:
     return _apply_flips(Triangulation(StaircaseBase(Arc(*entry), word)), flips)
@@ -547,7 +526,8 @@ def build(spec: dict) -> Triangulation:
     """Build a triangulation from its JSON spec.
 
     ``{"base": {"kind": "fountain", "n": 0}, "flips": [[m, n], ...]}`` with
-    kinds fountain / zigzag / polygon / staircase.
+    kinds fountain / zigzag / polygon / staircase; zigzag is the empty-word
+    staircase.
     """
     base = spec.get("base", {})
     kind = base.get("kind")

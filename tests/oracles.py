@@ -44,3 +44,20 @@ def brute_noncrossing_maximal(diagonals, lo, hi):
         if a not in ds and not any(crosses(a, b) for b in ds):
             return False
     return True
+
+
+def staircase_walk(entry, word, max_width):
+    """Staircase arcs up to max_width, by walking the path step by step.
+
+    The word's steps come first, then strict alternation starting with the
+    opposite of the last letter ('U' after the empty word).
+    """
+    m, n = entry
+    out = [Arc(m, n)]
+    last = "R"
+    for i in range(max_width - (n - m)):
+        ch = word[i] if i < len(word) else ("U" if last == "R" else "R")
+        last = ch
+        m, n = (m - 1, n) if ch == "U" else (m, n + 1)
+        out.append(Arc(m, n))
+    return out

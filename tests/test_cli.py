@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from infcc.cli import main, parse_triangulation
 from infcc.triangulation import nested_zigzag
 
@@ -38,7 +40,7 @@ def test_cc_json_roundtrip(capsys):
 
 def test_shorthand_parsing():
     assert parse_triangulation("fountain:3").base.n == 3
-    assert parse_triangulation("zigzag:-1").base.anchor == -1
+    assert parse_triangulation("zigzag:-1") == nested_zigzag(-1)
     P = parse_triangulation("polygon:0-4:0.2,0.3")
     assert P.is_polygon and len(P.polygon_members()) == 2
     spec = json.dumps({"base": {"kind": "zigzag", "anchor": 0}, "flips": []})
@@ -48,6 +50,14 @@ def test_shorthand_parsing():
 def test_usage_error_exit_1(capsys):
     code, _, err = run(capsys, "cc", "--triangulation", "klein:0", "--arc", "0,2")
     assert code == 1
+
+
+@pytest.mark.parametrize("spec", ["zigzag:0", "fountain:0"])
+@pytest.mark.parametrize("bad_arc", ["0,1", "2,0", "3,0"])
+def test_boundary_and_reversed_arcs_exit_1(capsys, spec, bad_arc):
+    code, out, err = run(capsys, "cc", "--triangulation", spec, "--arc", bad_arc)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
 
 
 def test_tiling_check_and_formats(capsys):

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infcc.arcs import Arc, Edge
 from infcc.errors import FlipTargetNotMember, InfiniteCrossers, NotAMember, UnknownFamily
+from infcc.exchange import CCSession, cc
 from infcc.triangulation import (
     all_polygon_triangulations,
     build,
@@ -14,7 +17,7 @@ from infcc.triangulation import (
     staircase,
 )
 
-from tests.oracles import brute_crossers, brute_noncrossing_maximal
+from tests.oracles import brute_crossers, brute_noncrossing_maximal, staircase_walk, window_arcs
 
 
 def test_build_fountain_members():
@@ -194,6 +197,45 @@ def test_staircase_family():
     members = S.members_in_window(-3, 6)
     assert Arc(0, 2) in members and Arc(0, 3) in members and Arc(0, 4) in members
     assert S.validate_window(-4, 6).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-3, 3), st.text(alphabet="UR", max_size=8))
+def test_staircase_closed_form_matches_walk(anchor, word):
+    base = staircase((anchor, anchor + 2), word).base
+    walk = staircase_walk((anchor, anchor + 2), word, 200)
+    members = set(walk)
+    for a in window_arcs(-30, 30):
+        assert base.member(a) == (a in members), a
+    for v in range(-30, 31):
+        partners, complete = base.partners(v)
+        expected = [a.n if a.m == v else a.m for a in walk if v in a]
+        assert complete and sorted(partners) == sorted(expected), v
+    assert sorted(base.members_in_window(-10, 10)) == sorted(
+        a for a in walk if -10 <= a.m and a.n <= 10)
+
+
+def test_zigzag_is_the_empty_word_staircase():
+    for a in range(-3, 4):
+        Z, S = nested_zigzag(a), staircase((a, a + 2), "")
+        assert Z == S and hash(Z) == hash(S)
+    # the alternating tail after the empty word starts U, R, ...
+    S, T = staircase((0, 2), "UR"), staircase((0, 2), "")
+    assert S == T and hash(S) == hash(T)
+    assert staircase((0, 2), "RRUR") == staircase((0, 2), "RR")
+    assert staircase((0, 2), "RRUR") != staircase((0, 2), "R")
+    # equal families share CCSession memo entries
+    session = CCSession()
+    cc(S, Arc(1, 5), session)
+    size = len(session.memo)
+    assert cc(T, Arc(1, 5), session) == cc(S, Arc(1, 5)) and len(session.memo) == size
+
+
+def test_member_rejects_boundary_and_reversed_pairs():
+    for T in (nested_zigzag(0), fountain(0), staircase((0, 2), "RRU"),
+              polygon(0, 4, [(0, 2), (0, 3)])):
+        for pair in [(0, 1), (2, 0), (3, 0), (0, 0), (-1, 0)]:
+            assert not T.is_member(Arc(*pair)), (T.base, pair)
 
 
 def test_catalan_counts():
