@@ -11,7 +11,7 @@ import argparse
 import json
 import re
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .arcs import Arc, Edge, arc
 from .errors import (
@@ -69,6 +69,13 @@ def parse_arc(text: str) -> Arc:
     return arc(m, n)
 
 
+def parse_window(text: str) -> Tuple[int, int]:
+    lo, hi = (int(v) for v in text.split(","))
+    if hi - lo < 2:
+        raise _UsageError(f"window [{lo},{hi}] holds no arc: need lo <= hi - 2")
+    return lo, hi
+
+
 def _seg_json(s):
     if isinstance(s, Edge):
         return [s.i, s.i + 1]
@@ -108,7 +115,7 @@ def _cmd_flip(args) -> int:
 
 def _cmd_validate(args) -> int:
     T = parse_triangulation(args.triangulation)
-    lo, hi = (int(v) for v in args.window.split(","))
+    lo, hi = parse_window(args.window)
     d = T.validate_window(lo, hi)
     payload = {
         "valid": d.ok,
@@ -158,18 +165,17 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_tiling(args) -> int:
     T = parse_triangulation(args.triangulation)
-    lo, hi = (int(v) for v in args.window.split(","))
-    W = tiling_window(T, lo, hi)
+    W = tiling_window(T, *parse_window(args.window))
     if args.check:
         bad = verify_sl2(W)
         if bad:
             sys.stderr.write(json.dumps({"violations": [list(v.at) for v in bad]}) + "\n")
             return 2
-    _print_window(W, args.format, lo, hi)
+    _print_window(W, args.format)
     return 0
 
 
-def _print_window(W, fmt: str, lo: int, hi: int) -> None:
+def _print_window(W, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps([[i, j, v] for (i, j), v in sorted(W.values.items())]))
         return
@@ -195,17 +201,15 @@ def _print_window(W, fmt: str, lo: int, hi: int) -> None:
 
 def _cmd_frontier(args) -> int:
     F = Frontier(args.word, anchor=args.anchor)
-    i_lo, j_lo, i_hi, j_hi = (int(v) for v in args.bbox.split(","))
-    W = extend_frontier(F, (i_lo, j_lo, i_hi, j_hi))
-    _print_window(W, args.format, i_lo, i_hi)
+    W = extend_frontier(F, tuple(int(v) for v in args.bbox.split(",")))
+    _print_window(W, args.format)
     return 0
 
 
 def _cmd_quiver(args) -> int:
     T = parse_triangulation(args.triangulation)
     if args.window:
-        lo, hi = (int(v) for v in args.window.split(","))
-        Q = T.quiver(lo, hi)
+        Q = T.quiver(*parse_window(args.window))
     else:
         Q = T.quiver()
     payload = {

@@ -22,6 +22,10 @@ class NotAMember(InfccError, ValueError):
     """Operation requires a member arc of the triangulation."""
 
 
+class NotMaximal(InfccError):
+    """A non-member arc crosses no member: the arcs are not a triangulation."""
+
+
 class InfiniteCrossers(InfccError):
     """The queried arc crosses infinitely many members.
 

@@ -9,19 +9,20 @@ quadrilateral whose two opposite-side pairs give the exchange relation
 
 a division by a single variable, so everything stays inside the Laurent
 ring and the result is subtraction-free (hence has positive coefficients).
-Each of the four sub-segments crosses strictly fewer members than d, which
-bounds the recursion; this is asserted at runtime.
+No member crosses u, so the members crossing a sub-segment are among those
+crossing d, u excluded: the crossers are computed once per `cc` call and
+the list shrinks at every level, which bounds the recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional
 
-from .arcs import Arc, Edge, Seg, seg
-from .errors import Unreachable
+from .arcs import Arc, Edge, Seg, crosses, seg
+from .errors import NotMaximal, Unreachable
 from .laurent import ONE, LaurentPoly
-from .triangulation import Triangulation
+from .triangulation import Triangulation, crossing_order
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,13 @@ def cc(T: Triangulation, d: Seg, session: Optional[CCSession] = None) -> Laurent
 
     Members map to their variable, boundary to 1.  Raises Unreachable for
     arcs a fountain triangulation cannot reach; that refusal is a correct
-    answer, not a failure.
+    answer, not a failure.  Raises ValueError on an Arc (m, n) with
+    n - m < 2, and NotMaximal when T leaves an arc that crosses no member.
     """
     if session is None:
         session = CCSession()
+    if isinstance(d, Arc) and d.n - d.m < 2:
+        raise ValueError(f"({d.m},{d.n}) is not an arc: need m <= n-2")
     if isinstance(d, Edge) or T.is_boundary(d):
         return ONE
     if T.is_polygon:
@@ -82,7 +86,9 @@ def cc(T: Triangulation, d: Seg, session: Optional[CCSession] = None) -> Laurent
     return _rec(T, d, session)
 
 
-def _rec(T: Triangulation, x: Seg, session: CCSession) -> LaurentPoly:
+def _rec(T: Triangulation, x: Seg, session: CCSession,
+         cands: Optional[List[Arc]] = None) -> LaurentPoly:
+    """cc of x; `cands`, when given, holds every member that crosses x."""
     if isinstance(x, Edge) or T.is_boundary(x):
         return ONE
     if T.is_member(x):
@@ -90,16 +96,14 @@ def _rec(T: Triangulation, x: Seg, session: CCSession) -> LaurentPoly:
     hit = session.memo.get((T, x))
     if hit is not None:
         return hit
-    crossers = T.crossers(x)
-    assert crossers, f"non-member {tuple(x)} crosses no member: not a triangulation"
+    crossers = T.crossers(x) if cands is None else crossing_order(x, [c for c in cands if crosses(c, x)])
+    if not crossers:
+        raise NotMaximal(f"non-member {tuple(x)} crosses no member: not a triangulation")
     u = crossers[0] if session.pivot == "first" else crossers[-1]
+    rest = [c for c in crossers if c != u]
     q0, q1, q2, q3 = sorted((x.m, x.n, u.m, u.n))
-    parts = []
-    for a, b in ((q0, q1), (q2, q3), (q1, q2), (q0, q3)):
-        s = seg(a, b)
-        if isinstance(s, Arc) and not T.is_boundary(s) and not T.is_member(s):
-            assert len(T.crossers(s)) < len(crossers), "sub-segment must cross fewer members"
-        parts.append(_rec(T, s, session))
+    parts = [_rec(T, seg(a, b), session, rest)
+             for a, b in ((q0, q1), (q2, q3), (q1, q2), (q0, q3))]
     value = (parts[0] * parts[1] + parts[2] * parts[3]).div_exact_variable(u)
     session.memo[(T, x)] = value
     return value

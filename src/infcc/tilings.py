@@ -14,9 +14,13 @@ triangulation cell by cell: r(i, j) counts the submodules of the string
 module of the arc (i, j), independently per cell, so the determinant
 relations act as a cross-check instead of an error-compounding generator.
 
-Frontiers are staircase paths of 1's; `extend_frontier` propagates the 2x2
-relation away from the path on both sides.  Steps use matrix orientation:
-'U' moves up a row (i - 1), 'R' moves right a column (j + 1).
+A frontier is a bi-infinite staircase path of 1's: it reads a U/R word
+from its origin and alternates strictly beyond it in both directions.  The
+origin is (anchor, anchor + 2) on the bottom row of Q, or any cell given as
+`start=`.  `extend_frontier` propagates the 2x2 relation away from the path
+on both sides, and `frontier_to_triangulation` is the staircase family that
+starts at the path's bottom-row point.  Steps use matrix orientation: 'U'
+moves up a row (i - 1), 'R' moves right a column (j + 1).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .arcs import Arc
 from .errors import ExactnessFailure, NonAdmissibleFrontier, NotLocallyFinite
 from .modules import count_submodules, g_module
-from .triangulation import Triangulation, staircase
+from .triangulation import Triangulation, path_letter, path_point, path_reach, path_steps, staircase
 
 Cell = Tuple[int, int]
 
@@ -63,8 +67,11 @@ def tiling_window(T: Triangulation, lo: int, hi: int) -> TilingWindow:
     """Half-plane tiling of a locally finite triangulation on [lo, hi].
 
     r(i, j) is the submodule count of the string module of the arc (i, j);
-    members and only members give r = 1.
+    members and only members give r = 1.  Raises ValueError on a window
+    that holds no arc, hi - lo < 2.
     """
+    if hi - lo < 2:
+        raise ValueError(f"window [{lo},{hi}] holds no arc: need lo <= hi - 2")
     cls = T.classify()
     if cls.kind == "fountain":
         raise NotLocallyFinite(f"fountain at {cls.fountain}: straddling cells cross infinitely many members")
@@ -128,18 +135,9 @@ def verify_sl2(W: TilingWindow) -> List[Violation]:
 # frontiers
 
 
-def _flip(ch: str) -> str:
-    return "U" if ch == "R" else "R"
-
-
 @dataclass(frozen=True)
 class Frontier:
-    """Staircase path of 1's: a finite window of steps, alternating beyond.
-
-    The path passes through `origin` and follows `word`; outside the window
-    it continues with strictly alternating steps in both directions, the
-    standing convention for finitely presented frontiers.
-    """
+    """The staircase path of 1's through `origin` and `word` (`path_point`)."""
 
     word: str
     anchor: int = 0
@@ -153,59 +151,26 @@ class Frontier:
     def origin(self) -> Cell:
         return self.start if self.start is not None else (self.anchor, self.anchor + 2)
 
-    def _forward_letters(self):
-        last = None
-        for ch in self.word:
-            last = ch
-            yield ch
-        last = last or "R"
-        while True:
-            last = _flip(last)
-            yield last
-
-    def _backward_letters(self):
-        last = _flip(self.word[0]) if self.word else "R"
-        yield last
-        while True:
-            last = _flip(last)
-            yield last
-
-    def forward_points(self):
-        """Points from the origin onward (n - m weakly increasing)."""
-        p = self.origin
-        yield p
-        for ch in self._forward_letters():
-            p = (p[0] - 1, p[1]) if ch == "U" else (p[0], p[1] + 1)
-            yield p
-
-    def backward_points(self):
-        """Points strictly before the origin, nearest first."""
-        p = self.origin
-        for ch in self._backward_letters():
-            p = (p[0] + 1, p[1]) if ch == "U" else (p[0], p[1] - 1)
-            yield p
-
-    def window_points(self) -> List[Cell]:
-        pts = [self.origin]
-        p = self.origin
-        for ch in self.word:
-            p = (p[0] - 1, p[1]) if ch == "U" else (p[0], p[1] + 1)
-            pts.append(p)
-        return pts
-
     def points_covering(self, i_lo: int, j_lo: int, i_hi: int, j_hi: int) -> List[Cell]:
-        """Path points until the staircase has passed the given rectangle."""
-        back = []
-        for p in self.backward_points():
-            back.append(p)
-            if p[0] > i_hi + 1 and p[1] < j_lo - 1:
-                break
-        fwd = []
-        for p in self.forward_points():
-            fwd.append(p)
-            if p[0] < i_lo - 1 and p[1] > j_hi + 1:
-                break
-        return list(reversed(back)) + fwd
+        """Path points until the staircase has passed the given rectangle.
+
+        From the first point before the origin with i > i_hi + 1 and
+        j < j_lo - 1 to the first point from the origin on with i < i_lo - 1
+        and j > j_hi + 1: the steps to each end hold enough U's and R's.
+        """
+        (i, j), word = self.origin, self.word
+        back = path_letter(word, -1)
+        first = -max(1, path_reach(back, "U", i_hi + 2 - i), path_reach(back, "R", j - j_lo + 2))
+        end = max(path_reach(word, "U", i - i_lo + 2), path_reach(word, "R", j_hi + 2 - j))
+        i, j = path_point(self.origin, word, first)
+        pts = [(i, j)]
+        for ch in path_steps(word, first, end):
+            if ch == "U":
+                i -= 1
+            else:
+                j += 1
+            pts.append((i, j))
+        return pts
 
 
 def _solve_square(r: Dict[Cell, int], a: int, b: int, missing: Cell) -> int:
@@ -309,37 +274,13 @@ def q_overlap_fill(F: Frontier, lo: int, hi: int) -> Dict[Cell, int]:
 def frontier_to_triangulation(F: Frontier) -> Triangulation:
     """The locally finite triangulation cut out by the frontier inside Q.
 
-    The path meets Q in a staircase of arcs, so the result is a staircase
-    family; a strictly alternating trace gives the nested zigzag.  Raises
-    NonAdmissibleFrontier when the declared window misses Q entirely.
+    It is the staircase from the path's bottom-row point k0: its word is
+    the path's steps k0 .. len(word), one past the word to pin the phase of
+    the tail.  Raises NonAdmissibleFrontier when the declared window misses
+    Q entirely, i.e. when k0 > len(word).
     """
-    if not any(_in_q(p) for p in F.window_points()):
+    o, word = F.origin, F.word
+    k0 = 2 - (o[1] - o[0])
+    if k0 > len(word):
         raise NonAdmissibleFrontier("frontier window lies outside the half plane")
-    # locate the entry point (the unique path point on the bottom row)
-    entry = None
-    if _in_q(F.origin):
-        entry = F.origin
-        for p in F.backward_points():
-            if not _in_q(p):
-                break
-            entry = p
-    else:
-        for p in F.forward_points():
-            if _in_q(p):
-                entry = p
-                break
-    assert entry is not None and entry[1] - entry[0] == 2
-    # steps from the entry through the declared window plus two more, to pin
-    # the alternation phase of the extension
-    pts = _points_from(F, entry, len(F.word) + 2)
-    word = "".join("U" if b[0] < a[0] else "R" for a, b in zip(pts, pts[1:]))
-    return staircase(entry, word)
-
-
-def _points_from(F: Frontier, entry: Cell, count: int) -> List[Cell]:
-    """`count` + 1 path points starting at `entry`, following the path."""
-    o = F.origin
-    span = abs(entry[0] - o[0]) + abs(entry[1] - o[1]) + len(F.word) + count + 8
-    pts = F.points_covering(entry[0] - span, entry[1] - span, entry[0] + span, entry[1] + span)
-    idx = pts.index(entry)
-    return pts[idx: idx + count + 1]
+    return staircase(path_point(o, word, k0), path_steps(word, k0, len(word) + 1))

@@ -78,19 +78,15 @@ class FountainBase:
 
 @dataclass(frozen=True)
 class StaircaseBase:
-    """Staircase family: `entry` on the bottom row, then steps of `word`.
+    """Staircase family: one nested arc of every width, along a path.
 
-    Letters: 'U' lowers the left endpoint by one, 'R' raises the right
-    endpoint by one.  Beyond the word the staircase continues with strictly
-    alternating steps (starting with the opposite of the last letter, or
-    with 'U' after the empty word), so the family is always locally finite.
-    Trailing letters that this tail would produce anyway are stripped, so
-    equal families compare and hash equal.
-
-    The k-th arc has width k + 2 and left endpoint entry.m - u(k), where
-    u(k) counts the U steps among the first k.  Membership is therefore
-    closed form: a prefix count lookup for k < len(word), and beyond the
-    word m + n takes one of the two values in `_tail_sums`.
+    `entry` lies on the bottom row and the arc of width k + 2 is point k of
+    the staircase path through `entry` and `word` (`path_point`), so the
+    family is locally finite.  Trailing letters that the alternating tail
+    would produce anyway are stripped, so equal families compare and hash
+    equal.  Membership is closed form: a prefix count of U's for widths
+    below len(word) + 2, and beyond m + n takes one of the two values in
+    `_tail_sums`.
     """
 
     entry: Arc
@@ -107,27 +103,19 @@ class StaircaseBase:
         if any(ch not in "UR" for ch in self.word):
             raise ValueError(f"staircase word must use letters U/R, got {self.word!r}")
         word = self.word
-        while word and word[-1] == _tail_start(word[:-1]):
+        while word and word[-1] == path_letter(word[:-1], len(word) - 1):
             word = word[:-1]
-        counts = tuple(itertools.accumulate((ch == "U" for ch in word), initial=0))
-        ups = counts[:-1]
-        # the arc of width len(word) + 2 has m + n = s; each later step
-        # moves the sum by one, back and forth
-        s = self.entry.m + self.entry.n - 2 * counts[-1] + len(word)
-        step = -1 if _tail_start(word) == "U" else 1
+        ups = tuple(itertools.accumulate((ch == "U" for ch in word), initial=0))[:-1]
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "_ups", ups)
         object.__setattr__(self, "_rights", tuple(k - u for k, u in enumerate(ups)))
-        object.__setattr__(self, "_tail_sums", (s, s + step))
+        # beyond the word each step moves m + n by one, back and forth
+        w = len(word)
+        object.__setattr__(self, "_tail_sums", (sum(self.arc_at(w)), sum(self.arc_at(w + 1))))
 
     def arc_at(self, k: int) -> Arc:
-        """The family arc of width k + 2."""
-        w = len(self._ups)
-        if k < w:
-            u = self._ups[k]
-        else:
-            u = self.word.count("U") + (k - w + (_tail_start(self.word) == "U")) // 2
-        return Arc(self.entry.m - u, self.entry.n + k - u)
+        """The family arc of width k + 2: point k of the staircase path."""
+        return Arc(*path_point(self.entry, self.word, k))
 
     def member(self, x: Arc) -> bool:
         k = x.n - x.m - 2
@@ -165,9 +153,59 @@ class StaircaseBase:
         return (a for a in map(self.arc_at, itertools.count()) if spans(a, d))
 
 
-def _tail_start(word: str) -> str:
-    """First letter of the alternating continuation after `word`."""
-    return "R" if word.endswith("U") else "U"
+# ---------------------------------------------------------------------------
+# the staircase path: a U/R word extends to a bi-infinite path whose steps
+# 0 .. len(word) - 1 read the word and alternate strictly on both sides.
+# Step k leads from point k to point k + 1: 'U' lowers the first coordinate,
+# 'R' raises the second, so the width (second minus first) of point k is
+# width(origin) + k.  Staircase families and frontiers are both this path.
+
+
+def path_letter(word: str, k: int) -> str:
+    """Step k.  The tail starts opposite to the last letter ('U' after the
+    empty word) and step -1 is opposite to step 0."""
+    if 0 <= k < len(word):
+        return word[k]
+    if k >= 0:
+        first, n = ("R" if word.endswith("U") else "U"), k - len(word)
+    else:
+        first, n = word[:1] or "U", k
+    return first if n % 2 == 0 else ("R" if first == "U" else "U")
+
+
+def path_steps(word: str, lo: int, hi: int) -> str:
+    """Steps lo .. hi - 1 of the path through `word`, as one string."""
+
+    def periodic(a: int, b: int) -> str:  # outside the word: period two
+        return ((path_letter(word, a) + path_letter(word, a + 1)) * (b - a))[:b - a]
+
+    return periodic(lo, min(hi, 0)) + word[max(lo, 0):max(hi, 0)] + periodic(max(lo, len(word)), hi)
+
+
+def path_point(origin: Tuple[int, int], word: str, k: int) -> Tuple[int, int]:
+    """Point k of the path through `origin` (point 0) and `word`; outside
+    the word n steps starting with `first` hold (n + (first == "U")) // 2 U's."""
+    w = len(word)
+    if k < 0:  # steps k .. -1, counted back from step -1
+        u = -((-k + (path_letter(word, -1) == "U")) // 2)
+    elif k <= w:
+        u = word.count("U", 0, k)
+    else:
+        u = word.count("U") + (k - w + (path_letter(word, w) == "U")) // 2
+    return (origin[0] - u, origin[1] + k - u)
+
+
+def path_reach(word: str, c: str, a: int) -> int:
+    """Fewest steps from point 0 on that hold `a` steps `c`; after the word
+    every second step is a `c`.  The steps back from point 0 are the steps
+    forward of the one-letter word path_letter(word, -1)."""
+    have = word.count(c)
+    if a > have:
+        return len(word) + 2 * (a - have) - (path_letter(word, len(word)) == c)
+    n = 0
+    for _ in range(a):
+        n = word.index(c, n) + 1
+    return n
 
 
 @dataclass(frozen=True)
@@ -186,6 +224,12 @@ class PolygonBase:
                 raise ValueError(f"{tuple(d)} is not inside the polygon")
             if (d.m, d.n) == (self.lo, self.hi):
                 raise ValueError("the long side (lo, hi) is boundary, not a diagonal")
+        for a, b in itertools.combinations(sorted(self.diagonals), 2):
+            if crosses(a, b):
+                raise ValueError(f"diagonals {tuple(a)} and {tuple(b)} cross")
+        if len(self.diagonals) != self.hi - self.lo - 2:
+            raise ValueError(f"a triangulation needs {self.hi - self.lo - 2} diagonals, "
+                             f"got {len(self.diagonals)}")
 
     def member(self, x: Arc) -> bool:
         return x in self.diagonals
@@ -312,8 +356,7 @@ class Triangulation:
                 raise InfiniteCrossers(v)
             for w in partners:
                 cands.add(Arc(min(v, w), max(v, w)))
-        hits = [x for x in cands if self.is_member(x) and crosses(x, d)]
-        return sorted(hits, key=lambda x: (x.n, 0, -x.m) if x.m < p else (x.m, 1, -x.n))
+        return crossing_order(d, [x for x in cands if self.is_member(x) and crosses(x, d)])
 
     def spanning_arc(self, d: Arc) -> Optional[Arc]:
         """Some member spanning d, or None when no member does.
@@ -443,11 +486,6 @@ class Triangulation:
 
     # -- polygon geometry ------------------------------------------------------
 
-    @property
-    def long_side(self) -> Tuple[int, int]:
-        assert self.is_polygon
-        return (self.base.lo, self.base.hi)
-
     def rotate(self, x: Seg, k: int) -> Seg:
         """Cyclic vertex rotation v -> v + k of the polygon model.
 
@@ -467,6 +505,12 @@ class Triangulation:
         if (a, b) == (lo, hi):
             return Edge(hi)
         return Arc(a, b)
+
+
+def crossing_order(d: Arc, arcs: Iterable[Arc]) -> List[Arc]:
+    """Arcs that all cross d, sorted in the order they cross d from d.m."""
+    p = d.m
+    return sorted(arcs, key=lambda x: (x.n, 0, -x.m) if x.m < p else (x.m, 1, -x.n))
 
 
 def arrow_between(T: Triangulation, a: Arc, b: Arc) -> Optional[int]:

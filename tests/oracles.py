@@ -61,3 +61,31 @@ def staircase_walk(entry, word, max_width):
         m, n = (m - 1, n) if ch == "U" else (m, n + 1)
         out.append(Arc(m, n))
     return out
+
+
+def frontier_walk(origin, word, lo, hi):
+    """Points lo .. hi (lo <= 0 <= hi) of a frontier path, as {k: point}.
+
+    Walks letter by letter from the origin, point 0.  Forward: the word's
+    steps, then strict alternation starting with the opposite of the last
+    letter ('U' after the empty word).  Backward: the step into the origin
+    is the opposite of the word's first letter ('R' for the empty word), and
+    the steps before it alternate strictly.  'U' lowers the first
+    coordinate, 'R' raises the second.
+    """
+    out = {0: tuple(origin)}
+    i, j = origin
+    last = "R"
+    for k in range(hi):
+        ch = word[k] if k < len(word) else ("U" if last == "R" else "R")
+        last = ch
+        i, j = (i - 1, j) if ch == "U" else (i, j + 1)
+        out[k + 1] = (i, j)
+    i, j = origin
+    last = word[0] if word else "U"
+    for k in range(-1, lo - 1, -1):
+        ch = "U" if last == "R" else "R"
+        last = ch
+        i, j = (i + 1, j) if ch == "U" else (i, j - 1)
+        out[k] = (i, j)
+    return out

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,9 +94,10 @@ def test_validate(capsys):
     code, out, _ = run(capsys, "validate", "--triangulation", "zigzag:0",
                        "--window", "-5,5", "--format", "json")
     assert code == 0 and json.loads(out)["valid"]
-    code, out, _ = run(capsys, "validate", "--triangulation", "polygon:0-4:0.2",
-                       "--window", "0,4", "--format", "json")
-    assert not json.loads(out)["valid"]
+    # a polygon spec that is not a triangulation is refused before validation
+    code, out, err = run(capsys, "validate", "--triangulation", "polygon:0-4:0.2",
+                         "--window", "0,4", "--format", "json")
+    assert code == 1 and out == "" and err.startswith("usage error:")
 
 
 def test_quiver(capsys):
@@ -121,3 +126,38 @@ def test_verify_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "2,3", "--size", "small")
     assert code == 0
     assert out.count("[PASS]") == 2
+
+
+@pytest.mark.parametrize("verb", ["cc", "flip"])
+@pytest.mark.parametrize("spec", ["polygon:0-4:0.2,1.3", "polygon:0-5:0.2"])
+def test_polygon_that_is_not_a_triangulation_exit_1(capsys, verb, spec):
+    code, out, err = run(capsys, verb, "--triangulation", spec, "--arc", "0,2")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tiling", "--triangulation", "zigzag:0", "--window", "4,-4"],
+    ["validate", "--triangulation", "zigzag:0", "--window", "4,-4"],
+    ["quiver", "--triangulation", "zigzag:0", "--window", "4,-4"],
+])
+def test_window_without_arcs_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cc", "--triangulation", "zigzag:0", "--arc", "0,1"],
+    ["cc", "--triangulation", "fountain:0", "--arc", "3,0"],
+    ["cc", "--triangulation", "polygon:0-4:0.2,1.3", "--arc", "0,3"],
+    ["tiling", "--triangulation", "zigzag:0", "--window", "4,-4"],
+])
+def test_usage_errors_survive_optimized_mode(argv):
+    # python -O strips asserts: a check the CLI relies on must not be one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-m", "infcc.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr

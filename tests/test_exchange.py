@@ -3,11 +3,21 @@ import random
 
 import pytest
 
+from dataclasses import replace
+
 from infcc.arcs import Arc, Edge, crosses, seg
-from infcc.errors import Unreachable
+from infcc.errors import NotMaximal, Unreachable
 from infcc.exchange import CCSession, cc, cc_multiset, is_reachable
 from infcc.laurent import ONE, LaurentPoly
-from infcc.triangulation import fountain, nested_zigzag, polygon
+from infcc.triangulation import (
+    Triangulation,
+    crossing_order,
+    fountain,
+    nested_zigzag,
+    polygon,
+    random_polygon_triangulation,
+    staircase,
+)
 
 x = LaurentPoly.variable
 
@@ -129,3 +139,61 @@ def test_cc_after_flips():
     # and the old member becomes a genuine Laurent polynomial
     p = cc(T2, Arc(0, 2))
     assert p.denominator_support() == {res.replacement}
+
+
+def test_crossers_computed_once_per_cc(monkeypatch):
+    calls = []
+    crossers = Triangulation.crossers
+
+    def counting(self, d):
+        calls.append(d)
+        return crossers(self, d)
+
+    monkeypatch.setattr(Triangulation, "crossers", counting)
+    T = staircase((0, 2), "RRUUR", [(0, 3)])
+    session = CCSession()
+    for d in [Arc(1, 7), Arc(-3, 4), Arc(2, 6)]:
+        calls.clear()
+        cc(T, d, session)
+        assert calls == [d]
+    calls.clear()
+    cc(T, Arc(1, 7), session)  # cached: no crossers at all
+    assert calls == []
+
+
+def test_quad_side_crossers_come_from_the_parent():
+    # the identity the recursion relies on: a quad side is crossed exactly
+    # by the members crossing d, other than the pivot u, that cross the side
+    rng = random.Random(3)
+    for T in (nested_zigzag(0), fountain(0), staircase((0, 2), "RRUUR"),
+              polygon(0, 11, sorted(random_polygon_triangulation(0, 11, rng)))):
+        for t in rng.sample(T.members_in_window(-5, 11), 3):
+            T = T.flip(t).new_triangulation
+        lo, hi = (0, 11) if T.is_polygon else (-5, 10)
+        for d in [Arc(m, n) for m in range(lo, hi - 1) for n in range(m + 2, hi + 1)]:
+            if T.is_member(d) or T.is_boundary(d) or not is_reachable(T, d).reachable:
+                continue
+            crossers = T.crossers(d)
+            for u in (crossers[0], crossers[-1]):
+                q0, q1, q2, q3 = sorted((d.m, d.n, u.m, u.n))
+                for a, b in ((q0, q1), (q2, q3), (q1, q2), (q0, q3)):
+                    s = seg(a, b)
+                    if isinstance(s, Arc) and not T.is_boundary(s):
+                        rest = [c for c in crossers if c != u and crosses(c, s)]
+                        assert T.crossers(s) == crossing_order(s, rest), (d, u, s)
+
+
+def test_non_maximal_triangulation_raises_typed_error():
+    # (0, 3) removed from the pentagon leaves (0, 3) and (2, 4) crossing nothing
+    P = polygon(0, 4, [(0, 2), (0, 3)])
+    hole = replace(P, removed=frozenset({Arc(0, 3)}))
+    with pytest.raises(NotMaximal):
+        cc(hole, Arc(0, 3))
+    with pytest.raises(NotMaximal):
+        cc(hole, Arc(1, 4))
+
+
+@pytest.mark.parametrize("bad", [Arc(0, 1), Arc(3, 0)])
+def test_malformed_arc_raises_value_error(bad):
+    with pytest.raises(ValueError):
+        cc(nested_zigzag(0), bad)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infcc.arcs import Arc
 from infcc.errors import ExactnessFailure, NonAdmissibleFrontier, NotLocallyFinite
@@ -15,7 +17,9 @@ from infcc.tilings import (
     verify_sl2,
     _solve_square,
 )
-from infcc.triangulation import fountain, nested_zigzag, staircase
+from infcc.triangulation import fountain, nested_zigzag, path_letter, path_point, staircase
+
+from tests.oracles import frontier_walk
 
 
 def test_spot_values():
@@ -41,6 +45,12 @@ def test_window_is_valid_and_positive():
 def test_fountain_is_refused():
     with pytest.raises(NotLocallyFinite):
         tiling_window(fountain(0), -4, 4)
+
+
+@pytest.mark.parametrize("lo, hi", [(4, -4), (0, 1), (3, 3)])
+def test_window_without_arcs_is_refused(lo, hi):
+    with pytest.raises(ValueError):
+        tiling_window(nested_zigzag(0), lo, hi)
 
 
 def test_two_oracles_agree():
@@ -127,3 +137,79 @@ def test_exactness_guard():
     with pytest.raises(ExactnessFailure):
         # (1*1 - 1) / 1 = 0 is not positive
         _solve_square({(0, 0): 1, (0, 1): 1, (1, 1): 1}, 0, 0, (1, 0))
+
+
+# ---------------------------------------------------------------------------
+# the frontier path against a letter-by-letter walk
+
+WORDS = st.text(alphabet="UR", max_size=8)
+# anchors -3..3, or start cells of width -6..12
+ORIGINS = st.one_of(
+    st.integers(-3, 3).map(lambda a: {"anchor": a}),
+    st.tuples(st.integers(-4, 4), st.integers(-6, 12)).map(lambda t: {"start": (t[0], t[0] + t[1])}),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(WORDS, ORIGINS)
+def test_path_point_and_letter_match_walk(word, spec):
+    o = Frontier(word, **spec).origin
+    walk = frontier_walk(o, word, -30, 30)
+    for k in range(-30, 30):
+        p, q = walk[k], walk[k + 1]
+        assert path_point(o, word, k) == p, k
+        assert path_letter(word, k) == ("U" if q[0] < p[0] else "R"), k
+        assert q[1] - q[0] == p[1] - p[0] + 1
+
+
+def _walk_covering(F, i_lo, j_lo, i_hi, j_hi):
+    walk = frontier_walk(F.origin, F.word, -80, 80)
+    start = next(k for k in range(-1, -81, -1)
+                 if walk[k][0] > i_hi + 1 and walk[k][1] < j_lo - 1)
+    end = next(k for k in range(81) if walk[k][0] < i_lo - 1 and walk[k][1] > j_hi + 1)
+    return [walk[k] for k in range(start, end + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(WORDS, ORIGINS, st.lists(st.integers(-12, 12), min_size=4, max_size=4))
+def test_points_covering_matches_walk(word, spec, corners):
+    F = Frontier(word, **spec)
+    i_lo, i_hi = sorted(corners[:2])
+    j_lo, j_hi = sorted(corners[2:])
+    assert F.points_covering(i_lo, j_lo, i_hi, j_hi) == _walk_covering(F, i_lo, j_lo, i_hi, j_hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(WORDS, st.integers(-3, 3))
+def test_staircase_arc_at_matches_walk(word, anchor):
+    base = staircase((anchor, anchor + 2), word).base
+    walk = frontier_walk((anchor, anchor + 2), word, 0, 40)
+    for k in range(41):
+        assert base.arc_at(k) == Arc(*walk[k]), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(WORDS, ORIGINS)
+def test_frontier_path_in_q_is_members(word, spec):
+    F = Frontier(word, **spec)
+    o = F.origin
+    if o[1] - o[0] + len(word) < 2:  # the declared window misses Q
+        with pytest.raises(NonAdmissibleFrontier):
+            frontier_to_triangulation(F)
+        return
+    T = frontier_to_triangulation(F)
+    walk = frontier_walk(o, word, -30, 30)
+    in_q = [p for p in walk.values() if p[0] <= p[1] - 2]
+    assert in_q and all(T.is_member(Arc(*p)) for p in in_q)
+    assert T.validate_window(-20, 20).ok
+
+
+def test_frontier_deep_inside_q():
+    # the origin lies ten steps above the bottom row, so the entry is far
+    # before the word; every path cell in Q is still a member
+    F = Frontier("RRRR", start=(0, 12))
+    T = frontier_to_triangulation(F)
+    assert T.base.entry == Arc(5, 7)
+    for j in range(12, 17):
+        assert T.is_member(Arc(0, j))
+    assert T.validate_window(-10, 20).ok

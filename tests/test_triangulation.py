@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -53,9 +54,11 @@ def test_build_from_json_spec():
 
 def test_validate_window_examples():
     assert fountain(0).validate_window(-5, 5).ok
-    d = polygon(0, 4, [(0, 2)]).validate_window(0, 4)
+    # polygon() only builds triangulations, so the defects come from a patch
+    P = polygon(0, 4, [(0, 2), (0, 3)])
+    d = replace(P, removed=frozenset({Arc(0, 3)})).validate_window(0, 4)
     assert set(d.missing) == {Arc(0, 3), Arc(2, 4)}
-    d2 = polygon(0, 4, [(0, 2), (1, 3)]).validate_window(0, 4)
+    d2 = replace(P, added=frozenset({Arc(1, 3)})).validate_window(0, 4)
     assert (Arc(0, 2), Arc(1, 3)) in d2.crossing_pairs
 
 
@@ -251,3 +254,21 @@ def test_polygon_diagonals_excludes_long_side():
     ds = polygon_diagonals(0, 4)
     assert Arc(0, 4) not in ds
     assert len(ds) == 5 * 2 // 2  # pentagon has 5 diagonals
+
+
+def test_polygon_accepts_exactly_the_triangulations():
+    rng = random.Random(11)
+    for hi in (4, 5, 6, 7):
+        pool = polygon_diagonals(0, hi)
+        for _ in range(150):
+            diag = rng.sample(pool, rng.randint(0, min(len(pool), hi)))
+            try:
+                polygon(0, hi, diag)
+                built = True
+            except ValueError:
+                built = False
+            assert built == brute_noncrossing_maximal({Arc(*d) for d in diag}, 0, hi), diag
+    with pytest.raises(ValueError, match="cross"):
+        polygon(0, 4, [(0, 2), (1, 3)])
+    with pytest.raises(ValueError, match="diagonals"):
+        polygon(0, 5, [(0, 2)])
