@@ -1,0 +1,136 @@
+"""Laurent kernel benchmark: per-kernel and end-to-end figures, two source trees.
+
+Usage:
+
+    python bench/laurent_kernels.py                      # this checkout only
+    python bench/laurent_kernels.py --baseline OLD/src   # OLD/src against this checkout
+
+Each of ROUNDS rounds runs one fresh child process per source tree
+(alternating, so both see the same drift in machine speed) and one cold
+``infcc verify --size full`` per tree.  A child times, on
+``nested_zigzag(0)``:
+
+* ``mul``, ``div_exact_variable``, ``format_fraction``, ``to_json`` on
+  ``cc((2, 11))``, 2584 terms (``mul`` multiplies it by ``cc((2, 5))``,
+  8 terms, from the same session);
+* ``cc_k14``: ``cc((2, 10))`` on a fresh session, 14 crossers, 987 terms.
+
+A kernel figure is the median of its repetitions inside the child; the
+reported figure is the median over rounds.  Ratios are baseline / change.
+The result goes to ``BENCH_laurent.json`` at the repository root, with the
+machine and the Python version.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_laurent.json"
+KERNELS = ("mul", "div_exact_variable", "format_fraction", "to_json", "cc_k14")
+ROUNDS = 5
+MIN_REPS, MIN_SECONDS = 3, 0.3
+
+
+def _time(fn) -> float:
+    """Median seconds of fn() over at least MIN_REPS calls and MIN_SECONDS."""
+    samples = []
+    start = time.perf_counter()
+    while len(samples) < MIN_REPS or time.perf_counter() - start < MIN_SECONDS:
+        t = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - t)
+    return statistics.median(samples)
+
+
+def measure() -> dict:
+    """Kernel figures (ms) for the infcc found on sys.path."""
+    from infcc import CCSession, cc, format_fraction, nested_zigzag
+    from infcc.arcs import Arc
+
+    Z = nested_zigzag(0)
+    ses = CCSession()
+    p = cc(Z, Arc(2, 11), ses)
+    q = cc(Z, Arc(2, 5), ses)
+    u = Z.crossers(Arc(2, 11))[0]
+    if (len(p.terms), len(q.terms)) != (2584, 8):
+        raise SystemExit(f"unexpected sizes {len(p.terms)}, {len(q.terms)}")
+    fns = {
+        "mul": lambda: p * q,
+        "div_exact_variable": lambda: p.div_exact_variable(u),
+        "format_fraction": lambda: format_fraction(p),
+        "to_json": lambda: p.to_json(),
+        "cc_k14": lambda: cc(Z, Arc(2, 10), CCSession()),
+    }
+    return {name: 1e3 * _time(fns[name]) for name in KERNELS}
+
+
+def _child(src: Path) -> dict:
+    """measure() in a fresh interpreter that imports infcc from `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    code = f"import json, runpy; print(json.dumps(runpy.run_path({__file__!r})['measure']()))"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def _verify_seconds(src: Path) -> float:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    t = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "infcc.cli", "verify", "--size", "full"],
+                          env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - t
+    if done.returncode != 0 or done.stdout.count("[PASS]") != 10:
+        raise SystemExit(f"verify --size full failed under {src}:\n{done.stdout}{done.stderr}")
+    return seconds
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--baseline", type=Path, help="src directory of the tree to compare against")
+    args = ap.parse_args(argv)
+    trees = {"change": ROOT / "src"}
+    if args.baseline is not None:
+        trees = {"baseline": args.baseline.resolve(), **trees}
+    samples = {name: {k: [] for k in KERNELS + ("verify_full_s",)} for name in trees}
+    for r in range(ROUNDS):
+        for name, src in trees.items():
+            for k, v in _child(src).items():
+                samples[name][k].append(v)
+            samples[name]["verify_full_s"].append(_verify_seconds(src))
+        print(f"round {r + 1}/{ROUNDS} done", file=sys.stderr)
+    figures = {name: {k: statistics.median(v) for k, v in s.items()} for name, s in samples.items()}
+    result = {
+        "machine": {
+            "platform": platform.platform(),
+            "processor": platform.processor() or platform.machine(),
+            "cpu_count": os.cpu_count(),
+        },
+        "python": platform.python_version(),
+        "sizes": {
+            "terms": 2584, "mul_by_terms": 8, "cc_k14_terms": 987,
+            "family": "nested_zigzag(0)", "arc": [2, 11], "cc_k14_arc": [2, 10],
+        },
+        "units": {**{k: "ms" for k in KERNELS}, "verify_full_s": "s"},
+        "rounds": ROUNDS,
+        "figures": figures,
+        "samples": samples,
+    }
+    if "baseline" in figures:
+        base, new = figures["baseline"], figures["change"]
+        result["ratio_baseline_over_change"] = {k: base[k] / new[k] for k in base}
+    OUT.write_text(json.dumps(result, indent=2) + "\n")
+    print(json.dumps(result.get("ratio_baseline_over_change", figures["change"]), indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .arcs import Arc, Seg
 from .ktheory import ModClass, coindex, theta
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, VarIndex
 from .modules import g_module, submodule_classes
 from .triangulation import Triangulation
 
@@ -28,8 +28,9 @@ def cc_direct(P: Triangulation, c: Seg) -> LaurentPoly:
     if isinstance(c, Arc) and not (P.base.lo <= c.m and c.n <= P.base.hi):
         raise ValueError(f"{tuple(c)} lies outside the polygon")
     co = coindex(P, P.rotate(c, 1))
-    acc = LaurentPoly.zero()
+    acc = {}
     for e, chi in submodule_classes(g_module(P, c)).entries:
-        term = LaurentPoly.monomial(theta(P, ModClass(e)).coeffs)
-        acc = acc + term * chi
-    return LaurentPoly.monomial({a: -k for a, k in co.coeffs.items()}) * acc
+        exps = tuple(sorted(theta(P, ModClass(e)).coeffs.items()))
+        acc[exps] = acc.get(exps, 0) + chi
+    index = VarIndex()
+    return LaurentPoly.monomial({a: -k for a, k in co.coeffs.items()}, index) * LaurentPoly(acc, index)

@@ -25,7 +25,7 @@ from .exchange import cc
 from .laurent import format_fraction
 from .reduction import cc_bar, reduce, u_of
 from .tilings import Frontier, extend_frontier, tiling_window, verify_sl2
-from .triangulation import Triangulation, build, fountain, nested_zigzag, polygon
+from .triangulation import Triangulation, build, check_window, fountain, nested_zigzag, polygon
 
 
 class _UsageError(Exception):
@@ -71,8 +71,7 @@ def parse_arc(text: str) -> Arc:
 
 def parse_window(text: str) -> Tuple[int, int]:
     lo, hi = (int(v) for v in text.split(","))
-    if hi - lo < 2:
-        raise _UsageError(f"window [{lo},{hi}] holds no arc: need lo <= hi - 2")
+    check_window(lo, hi)
     return lo, hi
 
 

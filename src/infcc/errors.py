@@ -61,3 +61,7 @@ class ExactnessFailure(InfccError):
 
 class SupportMeetsU(InfccError, ValueError):
     """A class fails to avoid the subcategory it must be disjoint from."""
+
+
+class ExponentOverflow(InfccError, OverflowError):
+    """A Laurent exponent would leave the range of a packed exponent field."""

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional
 
 from .arcs import Arc, Edge, Seg, crosses, seg
 from .errors import NotMaximal, Unreachable
-from .laurent import ONE, LaurentPoly
+from .laurent import ONE, LaurentPoly, VarIndex
 from .triangulation import Triangulation, crossing_order
 
 
@@ -52,14 +52,17 @@ def is_reachable(T: Triangulation, d: Arc) -> ReachabilityVerdict:
 
 @dataclass
 class CCSession:
-    """Memo table keyed by (triangulation, arc).
+    """Memo table keyed by (triangulation, arc), and the variable index.
 
-    Not thread-safe; use one session per thread (computations on separate
-    sessions are independent and embarrassingly parallel).
+    Every polynomial of the session is built on `index`, so the exchange
+    products never repack exponent keys.  Not thread-safe; use one session
+    per thread (computations on separate sessions are independent and
+    embarrassingly parallel).
     """
 
     pivot: str = "first"  # 'first' | 'last', recursion choice hook for tests
     memo: Dict[tuple, LaurentPoly] = field(default_factory=dict)
+    index: VarIndex = field(default_factory=VarIndex, init=False, repr=False)
 
 
 def cc(T: Triangulation, d: Seg, session: Optional[CCSession] = None) -> LaurentPoly:
@@ -92,7 +95,7 @@ def _rec(T: Triangulation, x: Seg, session: CCSession,
     if isinstance(x, Edge) or T.is_boundary(x):
         return ONE
     if T.is_member(x):
-        return LaurentPoly.variable(x)
+        return LaurentPoly.variable(x, session.index)
     hit = session.memo.get((T, x))
     if hit is not None:
         return hit
@@ -104,6 +107,7 @@ def _rec(T: Triangulation, x: Seg, session: CCSession,
     q0, q1, q2, q3 = sorted((x.m, x.n, u.m, u.n))
     parts = [_rec(T, seg(a, b), session, rest)
              for a, b in ((q0, q1), (q2, q3), (q1, q2), (q0, q3))]
+    session.index.slot(u)  # so that the quotient stays on the session's index
     value = (parts[0] * parts[1] + parts[2] * parts[3]).div_exact_variable(u)
     session.memo[(T, x)] = value
     return value

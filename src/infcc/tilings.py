@@ -31,7 +31,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .arcs import Arc
 from .errors import ExactnessFailure, NonAdmissibleFrontier, NotLocallyFinite
 from .modules import count_submodules, g_module
-from .triangulation import Triangulation, path_letter, path_point, path_reach, path_steps, staircase
+from .triangulation import Triangulation, check_window, path_letter, path_point, path_reach, path_steps, staircase
 
 Cell = Tuple[int, int]
 
@@ -70,8 +70,7 @@ def tiling_window(T: Triangulation, lo: int, hi: int) -> TilingWindow:
     members and only members give r = 1.  Raises ValueError on a window
     that holds no arc, hi - lo < 2.
     """
-    if hi - lo < 2:
-        raise ValueError(f"window [{lo},{hi}] holds no arc: need lo <= hi - 2")
+    check_window(lo, hi)
     cls = T.classify()
     if cls.kind == "fountain":
         raise NotLocallyFinite(f"fountain at {cls.fountain}: straddling cells cross infinitely many members")

@@ -38,6 +38,7 @@ from .errors import (
     FlipTargetNotMember,
     InfiniteCrossers,
     NotAMember,
+    NotMaximal,
     UnknownFamily,
 )
 
@@ -377,7 +378,8 @@ class Triangulation:
 
     def inner_vertex(self, t: Arc) -> int:
         hits = [v for v in range(t.m + 1, t.n) if self.side_exists(t.m, v) and self.side_exists(v, t.n)]
-        assert len(hits) == 1, f"expected one inner triangle at {tuple(t)}, found {hits}"
+        if len(hits) != 1:
+            raise NotMaximal(f"expected one inner triangle at {tuple(t)}, found {hits}")
         return hits[0]
 
     def outer_vertex(self, t: Arc) -> int:
@@ -395,7 +397,8 @@ class Triangulation:
                 hits.add(x)
             elif x > b and self.side_exists(a, x) and self.side_exists(b, x):
                 hits.add(x)
-        assert len(hits) == 1, f"expected one outer triangle at {tuple(t)}, found {sorted(hits)}"
+        if len(hits) != 1:
+            raise NotMaximal(f"expected one outer triangle at {tuple(t)}, found {sorted(hits)}")
         return hits.pop()
 
     def flip(self, t: Arc) -> FlipResult:
@@ -414,8 +417,7 @@ class Triangulation:
             replacement = Arc(q1, q3)
             middle_c = (seg(q1, q2), seg(q0, q3))
             middle_cp = (seg(q0, q1), seg(q2, q3))
-        else:
-            assert (t.m, t.n) == (q1, q3)
+        else:  # the outer vertex lies below t.m: t is (q1, q3)
             replacement = Arc(q0, q2)
             middle_c = (seg(q0, q1), seg(q2, q3))
             middle_cp = (seg(q1, q2), seg(q0, q3))
@@ -440,7 +442,11 @@ class Triangulation:
     # -- validation and quiver ------------------------------------------------
 
     def validate_window(self, lo: int, hi: int) -> Diagnosis:
-        """Report crossing pairs and maximality gaps visible inside [lo, hi]."""
+        """Report crossing pairs and maximality gaps visible inside [lo, hi].
+
+        Raises ValueError on a window that holds no arc, hi - lo < 2.
+        """
+        check_window(lo, hi)
         crossing = set()
         for x in self.members_in_window(lo, hi):
             try:
@@ -467,12 +473,16 @@ class Triangulation:
 
     def quiver(self, lo: Optional[int] = None, hi: Optional[int] = None,
                vertices: Optional[Iterable[Arc]] = None) -> Quiver:
-        """Quiver on the members of a finite region: arrows from shared triangles."""
+        """Quiver on the members of a finite region: arrows from shared triangles.
+
+        Raises ValueError on a window that holds no arc, hi - lo < 2.
+        """
         if vertices is None:
             if lo is None or hi is None:
                 if not self.is_polygon:
                     raise ValueError("a window is required for infinite triangulations")
                 lo, hi = self.base.lo, self.base.hi
+            check_window(lo, hi)
             vertices = self.members_in_window(lo, hi)
         vs = sorted(set(vertices))
         arrows = []
@@ -505,6 +515,12 @@ class Triangulation:
         if (a, b) == (lo, hi):
             return Edge(hi)
         return Arc(a, b)
+
+
+def check_window(lo: int, hi: int) -> None:
+    """Raise ValueError unless the window [lo, hi] holds an arc."""
+    if hi - lo < 2:
+        raise ValueError(f"window [{lo},{hi}] holds no arc: need lo <= hi - 2")
 
 
 def crossing_order(d: Arc, arcs: Iterable[Arc]) -> List[Arc]:

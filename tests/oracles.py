@@ -89,3 +89,73 @@ def frontier_walk(origin, word, lo, hi):
         i, j = (i + 1, j) if ch == "U" else (i, j - 1)
         out[k] = (i, j)
     return out
+
+
+class NaiveLaurent:
+    """Laurent polynomial as {exponent tuple: coefficient}, with no packing.
+
+    An exponent tuple is the sorted tuple of (Arc, exponent) pairs with
+    nonzero exponents, the representation the package used before its
+    exponent vectors were packed into integers.  Every operation works on
+    these tuples directly, so the packed kernel has a plain reference.
+    """
+
+    def __init__(self, terms=()):
+        self.terms = {}
+        for exps, c in terms:
+            acc = {}
+            for a, e in exps:
+                acc[a] = acc.get(a, 0) + e
+            k = tuple(sorted((a, e) for a, e in acc.items() if e))
+            self.terms[k] = self.terms.get(k, 0) + c
+        self.terms = {k: c for k, c in self.terms.items() if c}
+
+    def __add__(self, other):
+        return NaiveLaurent(list(self.terms.items()) + list(other.terms.items()))
+
+    def __mul__(self, other):
+        return NaiveLaurent([(k1 + k2, c1 * c2)
+                             for k1, c1 in self.terms.items()
+                             for k2, c2 in other.terms.items()])
+
+    def div_exact_variable(self, t):
+        return NaiveLaurent([(k + ((t, -1),), c) for k, c in self.terms.items()])
+
+    def substitute_unit(self, arcs):
+        return NaiveLaurent([(tuple((a, e) for a, e in k if a not in arcs), c)
+                             for k, c in self.terms.items()])
+
+    def min_exponents(self):
+        arcs = {a for k in self.terms for a, _ in k}
+        return {a: min(dict(k).get(a, 0) for k in self.terms) for a in arcs}
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), reverse=True)
+
+    def to_json(self):
+        return [{"coeff": c, "exps": [[[a.m, a.n], e] for a, e in k]}
+                for k, c in self.sorted_terms()]
+
+    def format_fraction(self):
+        if not self.terms:
+            return "0"
+        den = {a: -e for a, e in self.min_exponents().items() if e < 0}
+        num = self * NaiveLaurent([(tuple(den.items()), 1)])
+
+        def factor(a, e):
+            return f"x[{a.m},{a.n}]" + (f"^{e}" if e != 1 else "")
+
+        parts = []
+        for k, c in num.sorted_terms():
+            body = "*".join(factor(a, e) for a, e in k)
+            s = str(c) if not body else body if c == 1 else "-" + body if c == -1 else f"{c}*{body}"
+            parts.append(s if not parts else "- " + s[1:] if s.startswith("-") else "+ " + s)
+        text = " ".join(parts)
+        if not den:
+            return text
+        den_text = "*".join(factor(a, e) for a, e in sorted(den.items()))
+        if len(num.terms) > 1:
+            text = f"({text})"
+        if len(den) > 1:
+            den_text = f"({den_text})"
+        return f"{text}/{den_text}"

@@ -1,10 +1,17 @@
+import hashlib
 import json
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from infcc.arcs import Arc
-from infcc.laurent import ONE, LaurentPoly, format_fraction
+from infcc.errors import ExponentOverflow
+from infcc.exchange import CCSession, cc
+from infcc.laurent import MAX_EXPONENT, ONE, LaurentPoly, VarIndex, format_fraction
+from infcc.triangulation import nested_zigzag
+
+from tests.oracles import NaiveLaurent
 
 A = Arc(0, 2)
 B = Arc(0, 3)
@@ -31,6 +38,9 @@ def test_monomial_examples():
     assert LaurentPoly.monomial({}) == ONE
     m = LaurentPoly.monomial({A: -1, B: 1})
     assert m * x(A) == x(B)
+    # repeated arcs in an exponent vector add up
+    assert LaurentPoly({((A, 1), (B, 2), (A, 1)): 3}) == LaurentPoly.monomial({A: 2, B: 2}) * 3
+    assert LaurentPoly({((A, 1), (A, -1)): 4}).index is None
 
 
 def test_monomial_multiplicative():
@@ -92,3 +102,186 @@ def test_fraction_format():
 def test_denominator_support():
     p = (x(A) + ONE).div_exact_variable(B)
     assert p.denominator_support() == {B}
+
+
+# -- packed kernel against the tuple-exponent oracle ---------------------------
+
+POOL = [A, B, C, Arc(-7, -4), Arc(-2, 5), Arc(3, 10)]
+BIG = 10 ** 6
+
+
+def term_specs(max_terms=5):
+    exps = st.lists(st.tuples(st.sampled_from(POOL), st.integers(-BIG, BIG)), max_size=4)
+    coeff = st.integers(-9, 9).filter(bool)
+    return st.lists(st.tuples(exps, coeff), max_size=max_terms)
+
+
+def both(spec, index):
+    """The same polynomial as a LaurentPoly on `index` and as the oracle."""
+    p = LaurentPoly({}, index)
+    for exps, c in spec:  # one constructor call per term; index None gives each its own
+        p = p + LaurentPoly({tuple(exps): c}, index)
+    return p, NaiveLaurent([(exps, c) for exps, c in spec])
+
+
+# each polynomial of a test case goes on a fresh index, on the case's shared
+# index, or (for "mixed") on either, drawn per polynomial
+modes = st.sampled_from(["fresh", "shared", "mixed"])
+
+
+@st.composite
+def poly_pairs(draw, count):
+    mode = draw(modes)
+    shared = VarIndex()
+    for a in draw(st.permutations(POOL))[:draw(st.integers(0, len(POOL)))]:
+        shared.slot(a)
+    out = []
+    for _ in range(count):
+        on_shared = mode == "shared" or (mode == "mixed" and draw(st.booleans()))
+        out.append(both(draw(term_specs()), shared if on_shared else None))
+    return out
+
+
+def same(p, ref):
+    """Byte-for-byte agreement of every presentation, and polynomial equality."""
+    assert json.dumps(p.to_json()) == json.dumps(ref.to_json())
+    assert format_fraction(p) == ref.format_fraction()
+    assert p.min_exponents() == ref.min_exponents()
+    assert p.variables() == set(ref.min_exponents())
+    assert p == LaurentPoly(ref.terms)
+    assert hash(p) == hash(LaurentPoly(ref.terms))
+    assert len(p.terms) == len(ref.terms)
+
+
+def index_sizes(*polys):
+    return [None if p.index is None else len(p.index) for p in polys]
+
+
+@given(poly_pairs(2))
+def test_add_mul_match_oracle(pairs):
+    (p, rp), (q, rq) = pairs
+    sizes = index_sizes(p, q)
+    same(p, rp)
+    same(p + q, rp + rq)
+    same(p * q, rp * rq)
+    same(q * p, rp * rq)
+    assert (p == q) == (rp.terms == rq.terms)
+    # operations and comparisons leave the operands' indices as they were
+    assert index_sizes(p, q) == sizes
+
+
+def test_comparison_across_indices_appends_nothing():
+    index = VarIndex()
+    p = x(A, index) + x(B, index)
+    q = x(C) * x(Arc(5, 9))
+    r = x(A) + x(B)
+    sizes = index_sizes(p, q, r)
+    assert p != q and p == r and q != r
+    assert (p + q) - q == p and len((p * q).terms) == 2
+    assert p.div_exact_variable(C).index is not index
+    assert index_sizes(p, q, r) == sizes
+
+
+@given(poly_pairs(1), st.sampled_from(POOL + [Arc(20, 30)]), st.sets(st.sampled_from(POOL)))
+def test_div_and_substitute_match_oracle(pairs, t, units):
+    (p, rp), = pairs
+    sizes = index_sizes(p)
+    same(p.div_exact_variable(t), rp.div_exact_variable(t))
+    same(p.substitute_unit(units), rp.substitute_unit(units))
+    same(p.substitute_unit(units.__contains__), rp.substitute_unit(units))
+    assert index_sizes(p) == sizes
+
+
+@given(poly_pairs(3))
+def test_products_across_indices(pairs):
+    (p, rp), (q, rq), (r, rr) = pairs
+    same((p * q) * r, (rp * rq) * rr)
+    same(p * (q + r), rp * (rq + rr))
+
+
+def test_session_values_share_one_index():
+    ses = CCSession()
+    Z = nested_zigzag(0)
+    values = [cc(Z, d, ses) for d in (Arc(2, 9), Arc(0, 5), Arc(1, 4))]
+    assert all(v.index is ses.index for v in values)
+    # values on a fresh index equal the session's and hash alike
+    for v in values:
+        again = LaurentPoly.from_json(v.to_json())
+        assert again.index is not ses.index
+        assert again == v and hash(again) == hash(v)
+
+
+def test_appending_slots_keeps_keys():
+    index = VarIndex()
+    index.slot(A)
+    p = x(A, index) + ONE
+    before = dict(p.terms)
+    q = x(C, index) * x(B, index)  # appends two slots
+    assert p.terms == before
+    assert format_fraction(p * q) == "x[0,3]*x[1,3] + x[0,2]*x[0,3]*x[1,3]"
+
+
+# -- golden output --------------------------------------------------------------
+
+def test_golden_2584_terms():
+    """Digests of the text and JSON renderings, recorded with tuple exponents."""
+    p = cc(nested_zigzag(0), Arc(2, 11))
+    assert len(p.terms) == 2584
+    assert hashlib.sha1(format_fraction(p).encode()).hexdigest() == \
+        "bdbac8398ad21701dd9d882cc386978b33ba94b6"
+    assert hashlib.sha1(json.dumps(p.to_json()).encode()).hexdigest() == \
+        "e265f9b73b2c40f6bd0ba1a90475cb966628f7ec"
+
+
+# -- exponent range ---------------------------------------------------------------
+
+def test_exponent_at_the_limit():
+    top = LaurentPoly.monomial({A: MAX_EXPONENT})
+    bottom = LaurentPoly.monomial({A: -MAX_EXPONENT, B: MAX_EXPONENT})
+    assert format_fraction(top) == f"x[0,2]^{MAX_EXPONENT}"
+    assert format_fraction(bottom) == f"x[0,3]^{MAX_EXPONENT}/x[0,2]^{MAX_EXPONENT}"
+    assert bottom.min_exponents() == {A: -MAX_EXPONENT, B: MAX_EXPONENT}
+
+
+def test_exponent_overflow_raises():
+    with pytest.raises(ExponentOverflow):
+        LaurentPoly.monomial({A: MAX_EXPONENT + 1})
+    with pytest.raises(ExponentOverflow):
+        LaurentPoly({((B, -MAX_EXPONENT - 1),): 3})
+    half = LaurentPoly.monomial({A: 1 << 30})
+    with pytest.raises(ExponentOverflow):
+        half * half
+    with pytest.raises(ExponentOverflow):
+        LaurentPoly.monomial({A: -MAX_EXPONENT}).div_exact_variable(A)
+    # a numerator exponent past the limit cannot be rendered
+    with pytest.raises(ExponentOverflow):
+        format_fraction(LaurentPoly.monomial({A: MAX_EXPONENT}) + LaurentPoly.monomial({A: -1}))
+
+
+def test_bound_is_tightened_before_refusing():
+    """A loose bound from a chain of products does not refuse a small result."""
+    one = x(A).div_exact_variable(A)  # the constant 1, with bound 2
+    for _ in range(40):  # the bound doubles at each squaring, the exponents stay 0
+        one = one * one
+    assert one == ONE and one.bound <= MAX_EXPONENT
+    assert format_fraction(one * x(A)) == "x[0,2]"
+
+
+# -- memo --------------------------------------------------------------------------
+
+def test_warm_session_multiplies_nothing(monkeypatch):
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    ses = CCSession()
+    Z = nested_zigzag(0)
+    first = cc(Z, Arc(2, 9), ses)
+    assert calls, "the counter sees the cold computation"
+    calls.clear()
+    assert cc(Z, Arc(2, 9), ses) is first
+    assert calls == []

@@ -1,12 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infcc.arcs import Arc, Edge
-from infcc.errors import FlipTargetNotMember, InfiniteCrossers, NotAMember, UnknownFamily
+from infcc.errors import FlipTargetNotMember, InfiniteCrossers, NotAMember, NotMaximal, UnknownFamily
 from infcc.exchange import CCSession, cc
 from infcc.triangulation import (
     all_polygon_triangulations,
@@ -272,3 +276,49 @@ def test_polygon_accepts_exactly_the_triangulations():
         polygon(0, 4, [(0, 2), (1, 3)])
     with pytest.raises(ValueError, match="diagonals"):
         polygon(0, 5, [(0, 2)])
+
+
+def _broken_pentagon():
+    """The pentagon {(0,2), (0,3)} with (0,3) removed: (0,2) has no outer triangle."""
+    return replace(polygon(0, 4, [(0, 2), (0, 3)]), removed=frozenset({Arc(0, 3)}))
+
+
+def test_flip_on_non_maximal_raises_not_maximal():
+    with pytest.raises(NotMaximal):
+        _broken_pentagon().flip(Arc(0, 2))
+
+
+def test_flip_on_non_maximal_under_python_O():
+    # python -O strips asserts: the triangle checks must not be asserts
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "from dataclasses import replace\n"
+        "from infcc.arcs import Arc\n"
+        "from infcc.errors import NotMaximal\n"
+        "from infcc.triangulation import polygon\n"
+        "T = replace(polygon(0, 4, [(0, 2), (0, 3)]), removed=frozenset({Arc(0, 3)}))\n"
+        "try:\n"
+        "    T.flip(Arc(0, 2))\n"
+        "except NotMaximal:\n"
+        "    print('NotMaximal')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "NotMaximal\n"
+
+
+@pytest.mark.parametrize("lo, hi", [(4, -4), (0, 0), (0, 1)])
+def test_empty_windows_rejected(lo, hi):
+    Z = nested_zigzag(0)
+    with pytest.raises(ValueError, match="holds no arc"):
+        Z.validate_window(lo, hi)
+    with pytest.raises(ValueError, match="holds no arc"):
+        Z.quiver(lo, hi)
+
+
+def test_smallest_window_accepted():
+    Z = nested_zigzag(0)
+    assert Z.validate_window(0, 2).ok
+    assert Z.quiver(0, 2).vertices == (Arc(0, 2),)
