@@ -1,0 +1,168 @@
+"""Triangle-query benchmark: flips, crossers and tilings, two source trees.
+
+Usage:
+
+    python bench/triangle_queries.py                      # this checkout only
+    python bench/triangle_queries.py --baseline OLD/src   # OLD/src against this checkout
+
+Each of ROUNDS rounds runs one fresh child process per source tree,
+alternating, so both see the same drift in machine speed.  A child times,
+on ``nested_zigzag(0)`` and always on a freshly built triangulation value
+(so no per-value memo is warm):
+
+* ``flip_us_w<W>``: flipping the member of width W = n - m, W = 4, 16, 64
+  and 200,001;
+* ``crossers_member_ms_w<W>``: ``crossers`` of the member of width W =
+  2,001, 20,001 and 200,001 (it crosses nothing);
+* ``crossers_us_k<K>``: ``crossers`` of a non-member crossing K members,
+  K = 4..14;
+* ``tiling_us_per_cell_h<H>``: ``tiling_window`` on [-H, H], H = 8, 16, 32
+  and 64, divided by its cell count;
+* ``recurrence_ms_h<H>``: ``recurrence_window`` on [-H, H], H = 16 and 20
+  (the half-widths of the perfbench tiling workload);
+* ``try_cell_per_cell_h<H>``: ``_try_cell`` calls per target cell of
+  ``extend_frontier(Frontier("RRUURRRUUR"), (-H, -H, H, H))``, H = 8, 16, 32
+  and 48 (a count, the same in every round).
+
+A figure is the median of its repetitions inside the child, and the
+reported figure is the median over rounds.  Ratios are baseline / change.
+The result goes to ``BENCH_triangle.json`` at the repository root, with the
+machine and the Python version.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_triangle.json"
+ROUNDS = 9
+MIN_REPS, MIN_SECONDS = 3, 0.3
+FLIP_WIDTHS = (4, 16, 64, 200_001)
+MEMBER_WIDTHS = (2_001, 20_001, 200_001)
+KS = range(4, 15)
+TILING_HALF_WIDTHS = (8, 16, 32, 64)
+RECURRENCE_HALF_WIDTHS = (16, 20)
+FRONTIER_HALF_WIDTHS = (8, 16, 32, 48)
+
+
+def _time(make, fn) -> float:
+    """Median seconds of fn(make()) over at least MIN_REPS calls and MIN_SECONDS;
+    make() runs outside the timed region."""
+    samples = []
+    start = time.perf_counter()
+    while len(samples) < MIN_REPS or time.perf_counter() - start < MIN_SECONDS:
+        arg = make()
+        t = time.perf_counter()
+        fn(arg)
+        samples.append(time.perf_counter() - t)
+    return statistics.median(samples)
+
+
+def _arc_crossing(Z, k):
+    """The first arc (m, n), by width and then m, that crosses exactly k members of Z."""
+    from infcc.arcs import Arc
+
+    for width in range(2, 2 * k + 4):
+        for m in range(-width, 3):
+            d = Arc(m, m + width)
+            if not Z.is_member(d) and len(Z.crossers(d)) == k:
+                return d
+    raise SystemExit(f"no arc crosses {k} members")
+
+
+def measure() -> dict:
+    """Figures for the infcc found on sys.path."""
+    from infcc import tilings
+    from infcc.tilings import Frontier, extend_frontier, recurrence_window, tiling_window
+    from infcc.triangulation import nested_zigzag
+
+    fresh = lambda: nested_zigzag(0)  # noqa: E731
+    at = fresh().base.arc_at  # the member of width k + 2
+    out = {}
+    for w in FLIP_WIDTHS:
+        out[f"flip_us_w{w}"] = 1e6 * _time(fresh, lambda T, t=at(w - 2): T.flip(t))
+    for w in MEMBER_WIDTHS:
+        out[f"crossers_member_ms_w{w}"] = 1e3 * _time(fresh, lambda T, t=at(w - 2): T.crossers(t))
+    for k in KS:
+        d = _arc_crossing(fresh(), k)
+        out[f"crossers_us_k{k}"] = 1e6 * _time(fresh, lambda T, d=d: T.crossers(d))
+    for h in TILING_HALF_WIDTHS:
+        cells = (2 * h - 1) * 2 * h // 2
+        out[f"tiling_us_per_cell_h{h}"] = 1e6 * _time(fresh, lambda T, h=h: tiling_window(T, -h, h)) / cells
+    for h in RECURRENCE_HALF_WIDTHS:
+        out[f"recurrence_ms_h{h}"] = 1e3 * _time(fresh, lambda T, h=h: recurrence_window(T, -h, h))
+
+    calls = [0]
+    try_cell = tilings._try_cell
+
+    def counting(*args):
+        calls[0] += 1
+        return try_cell(*args)
+
+    tilings._try_cell = counting
+    try:
+        for h in FRONTIER_HALF_WIDTHS:
+            calls[0] = 0
+            W = extend_frontier(Frontier("RRUURRRUUR"), (-h, -h, h, h))
+            out[f"try_cell_per_cell_h{h}"] = calls[0] / len(W.values)
+    finally:
+        tilings._try_cell = try_cell
+    return out
+
+
+def _child(src: Path) -> dict:
+    """measure() in a fresh interpreter that imports infcc from `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    code = f"import json, runpy; print(json.dumps(runpy.run_path({__file__!r})['measure']()))"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--baseline", type=Path, help="src directory of the tree to compare against")
+    args = ap.parse_args(argv)
+    trees = {"change": ROOT / "src"}
+    if args.baseline is not None:
+        trees = {"baseline": args.baseline.resolve(), **trees}
+    samples = {name: {} for name in trees}
+    for r in range(ROUNDS):
+        for name, src in trees.items():
+            for k, v in _child(src).items():
+                samples[name].setdefault(k, []).append(v)
+        print(f"round {r + 1}/{ROUNDS} done", file=sys.stderr)
+    figures = {name: {k: statistics.median(v) for k, v in s.items()} for name, s in samples.items()}
+    result = {
+        "machine": {
+            "platform": platform.platform(),
+            "processor": platform.processor() or platform.machine(),
+            "cpu_count": os.cpu_count(),
+        },
+        "python": platform.python_version(),
+        "family": "nested_zigzag(0), a fresh value per timed call",
+        "units": {k: ("count" if k.startswith("try_cell") else
+                      "ms" if "_ms_" in k else "us") for k in next(iter(figures.values()))},
+        "rounds": ROUNDS,
+        "figures": figures,
+        "samples": samples,
+    }
+    if "baseline" in figures:
+        base, new = figures["baseline"], figures["change"]
+        result["ratio_baseline_over_change"] = {k: base[k] / new[k] for k in base}
+    OUT.write_text(json.dumps(result, indent=2) + "\n")
+    print(json.dumps(result.get("ratio_baseline_over_change", figures["change"]), indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -174,6 +174,9 @@ def _cmd_tiling(args) -> int:
     return 0
 
 
+WINDOW_FORMATS = ("text", "ascii", "csv", "json")  # text is ascii
+
+
 def _print_window(W, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps([[i, j, v] for (i, j), v in sorted(W.values.items())]))
@@ -190,7 +193,7 @@ def _print_window(W, fmt: str) -> None:
         print("j\\i," + ",".join(str(i) for i in range(i_lo, i_hi + 1)))
         for j, row in rows:
             print(f"{j}," + ",".join(row))
-    else:  # ascii
+    else:  # ascii, also for the text default
         width = max((len(c) for _, row in rows for c in row), default=1)
         header = " ".join(str(i).rjust(width) for i in range(i_lo, i_hi + 1))
         print(" " * 6 + header)
@@ -235,26 +238,27 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="infcc", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, tri=True, arc=False, window=False):
+    def common(sp, tri=True, arc=False, window=False, formats=("text", "json")):
         if tri:
             sp.add_argument("--triangulation", required=True)
         if arc:
             sp.add_argument("--arc", required=True)
         if window:
             sp.add_argument("--window", required=True)
-        sp.add_argument("--format", default="text")
+        sp.add_argument("--format", default="text", choices=formats)
 
     sp = sub.add_parser("cc");       common(sp, arc=True);       sp.set_defaults(fn=_cmd_cc)
     sp = sub.add_parser("flip");     common(sp, arc=True);       sp.set_defaults(fn=_cmd_flip)
     sp = sub.add_parser("validate"); common(sp, window=True);    sp.set_defaults(fn=_cmd_validate)
     sp = sub.add_parser("reduce");   common(sp, arc=True);       sp.set_defaults(fn=_cmd_reduce)
-    sp = sub.add_parser("tiling");   common(sp, window=True)
+    sp = sub.add_parser("tiling");   common(sp, window=True, formats=WINDOW_FORMATS)
     sp.add_argument("--check", action="store_true");             sp.set_defaults(fn=_cmd_tiling)
     sp = sub.add_parser("frontier")
     sp.add_argument("--word", required=True)
     sp.add_argument("--anchor", type=int, default=0)
     sp.add_argument("--bbox", required=True)
-    sp.add_argument("--format", default="ascii");                sp.set_defaults(fn=_cmd_frontier)
+    sp.add_argument("--format", default="ascii", choices=WINDOW_FORMATS)
+    sp.set_defaults(fn=_cmd_frontier)
     sp = sub.add_parser("quiver");   common(sp)
     sp.add_argument("--window");                                 sp.set_defaults(fn=_cmd_quiver)
     sp = sub.add_parser("verify")

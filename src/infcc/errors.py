@@ -14,6 +14,14 @@ class UnknownFamily(InfccError, ValueError):
     """Triangulation spec names a base family that does not exist."""
 
 
+class InvalidSpec(InfccError, ValueError):
+    """A triangulation spec is not an object of the documented shape."""
+
+
+class NotAPolygon(InfccError, ValueError):
+    """Operation defined on finite polygon models only."""
+
+
 class FlipTargetNotMember(InfccError, ValueError):
     """A flip in a build spec targets an arc that is not a member."""
 

@@ -403,11 +403,31 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(data) -> "LaurentPoly":
-        acc: Dict[ExpVec, int] = {}
+        """The inverse of `to_json`, keyed directly on a fresh index.
+
+        Each distinct [m, n] gets one slot and a factor adds e << shift, so
+        repeated arcs add up; a term whose sum of |e| could leave a field
+        is packed through the constructor's exact check instead.
+        """
+        index = VarIndex()
+        shifts: Dict[Tuple[int, int], int] = {}
+        acc: Dict[int, int] = {}
+        bound = 0
         for entry in data:
-            k = tuple((Arc(m, n), e) for (m, n), e in entry["exps"])
-            acc[k] = acc.get(k, 0) + entry["coeff"]
-        return LaurentPoly(acc)
+            key = size = 0
+            for (m, n), e in entry["exps"]:
+                if e:
+                    sh = shifts.get((m, n))
+                    if sh is None:
+                        sh = shifts[(m, n)] = FIELD_BITS * index.slot(Arc(m, n))
+                    key += e << sh
+                    size += abs(e)
+            if size > MAX_EXPONENT:
+                key, size = _pack(((Arc(m, n), e) for (m, n), e in entry["exps"]), index)
+            bound = max(bound, size)
+            acc[key] = acc.get(key, 0) + entry["coeff"]
+        terms = {k: v for k, v in acc.items() if v}
+        return _new(terms, index if any(terms) else None, bound)
 
 
 ONE = LaurentPoly.const(1)

@@ -25,6 +25,7 @@ moves up a row (i - 1), 'R' moves right a column (j + 1).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -197,19 +198,27 @@ def _propagate(values: Dict[Cell, int], targets: set, *, q_only: bool, edge: boo
 
     q_only restricts the 2x2 relation to squares lying inside the half
     plane; `edge` additionally uses the boundary-row relation
-    r(i,i+2) r(i+1,i+3) - r(i,i+3) = 1.
+    r(i,i+2) r(i+1,i+3) - r(i,i+3) = 1.  A worklist: every pending cell is
+    tried once in sorted order, and again only after one of its eight
+    neighbours (the cells its relations read) has been solved.
     """
-    pending = set(targets) - set(values)
-    progress = True
-    while pending and progress:
-        progress = False
-        for cell in sorted(pending):
-            v = _try_cell(values, cell, q_only, edge)
-            if v is not None:
-                values[cell] = v
-                pending.discard(cell)
-                progress = True
-    return None
+    pending = set(targets).difference(values)
+    queue = deque(sorted(pending))
+    queued = set(pending)
+    while queue:
+        cell = queue.popleft()
+        queued.discard(cell)
+        v = _try_cell(values, cell, q_only, edge)
+        if v is None:
+            continue
+        values[cell] = v
+        pending.discard(cell)
+        i, j = cell
+        for nb in ((i - 1, j - 1), (i - 1, j), (i - 1, j + 1), (i, j - 1),
+                   (i, j + 1), (i + 1, j - 1), (i + 1, j), (i + 1, j + 1)):
+            if nb in pending and nb not in queued:
+                queued.add(nb)
+                queue.append(nb)
 
 
 def _try_cell(r: Dict[Cell, int], cell: Cell, q_only: bool, edge: bool) -> Optional[int]:

@@ -24,20 +24,38 @@ Every base answers the same queries, on arcs (m, n) with n - m >= 2:
 whether that list is complete), ``members_in_window(lo, hi)``,
 ``spanning_candidates(d)`` (base arcs spanning d, innermost first) and
 ``kind``.  `Triangulation` applies the flip patch on top of them.
+
+Fans
+----
+``Triangulation.fan(v)`` is the ascending tuple of member co-endpoints at
+the vertex v, with a flag that is False only at a fountain vertex (whose
+base fans are infinite, so only the added members are listed).  It is
+read once per vertex from ``base.partners(v)`` and a vertex -> `added`
+index, and kept in a memo that takes no part in equality or hashing.  The
+crossing and triangle queries read fans instead of testing candidate arcs:
+
+* ``crossers(d)`` is empty for a member; otherwise every crossing member
+  has exactly one endpoint v strictly inside d, so it is read off the fans
+  of d's inner vertices as the co-endpoints outside [d.m, d.n];
+* ``inner_vertex(t)`` is the largest fan neighbour of t.m below t.n (or
+  t.m + 1), which must be the smallest fan neighbour of t.n above t.m (or
+  t.n - 1), so a flip costs a few fan lookups whatever the width of t.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .arcs import Arc, Edge, Seg, arc, crosses, seg, spans
 from .errors import (
     FlipTargetNotMember,
     InfiniteCrossers,
+    InvalidSpec,
     NotAMember,
+    NotAPolygon,
     NotMaximal,
     UnknownFamily,
 )
@@ -280,14 +298,23 @@ class FlipResult:
 # ---------------------------------------------------------------------------
 
 
+Fan = Tuple[Tuple[int, ...], bool]
+
+
 @dataclass(frozen=True)
 class Triangulation:
-    """Immutable triangulation value: base family plus a finite flip patch."""
+    """Immutable triangulation value: base family plus a finite flip patch.
+
+    Equality and hashing read `base`, `added` and `removed` only, so flips
+    that undo each other give back an equal value.  The fan memo is derived
+    data and takes no part in either.
+    """
 
     base: object
-    flips: Tuple[Arc, ...] = ()
     added: frozenset = frozenset()
     removed: frozenset = frozenset()
+    _fans: Dict[int, Fan] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _added_at: Optional[Dict[int, List[int]]] = field(default=None, init=False, repr=False, compare=False)
 
     # -- membership --------------------------------------------------------
 
@@ -315,21 +342,34 @@ class Triangulation:
 
     # -- enumeration -------------------------------------------------------
 
-    def partners(self, v: int) -> Tuple[List[int], bool]:
-        """Co-endpoints of candidate members at vertex v, and a complete flag.
+    def fan(self, v: int) -> Fan:
+        """Co-endpoints of the members at vertex v, ascending, and a complete flag.
 
-        The candidates are the base arcs at v (removed ones included) and the
-        patch additions.  The flag is False only at a fountain vertex, where
-        the base fans are infinite and only the additions are listed.
+        The flag is False only at a fountain vertex, where the base fans are
+        infinite and only the added members are listed.  Computed once per
+        vertex.
         """
-        base, complete = self.base.partners(v)
-        out = set(base)
-        for a in self.added:
-            if a.m == v:
-                out.add(a.n)
-            elif a.n == v:
-                out.add(a.m)
-        return sorted(out), complete
+        f = self._fans.get(v)
+        if f is None:
+            base, complete = self.base.partners(v)
+            ends = set(base)
+            if self.added:
+                ends.update(self._added_index().get(v, ()))
+            if self.removed:
+                ends = {w for w in ends if Arc(min(v, w), max(v, w)) not in self.removed}
+            f = self._fans[v] = (tuple(sorted(ends)), complete)
+        return f
+
+    def _added_index(self) -> Dict[int, List[int]]:
+        """Vertex -> co-endpoints of the added members there, built on first use."""
+        at = self._added_at
+        if at is None:
+            at = {}
+            for a in self.added:
+                at.setdefault(a.m, []).append(a.n)
+                at.setdefault(a.n, []).append(a.m)
+            object.__setattr__(self, "_added_at", at)
+        return at
 
     def members_in_window(self, lo: int, hi: int) -> List[Arc]:
         """Members with both endpoints inside [lo, hi]."""
@@ -338,26 +378,43 @@ class Triangulation:
         return sorted(out)
 
     def polygon_members(self) -> List[Arc]:
-        assert self.is_polygon
+        self._require_polygon("polygon_members")
         return self.members_in_window(self.base.lo, self.base.hi)
 
     # -- crossing queries ----------------------------------------------------
 
     def crossers(self, d: Arc) -> List[Arc]:
-        """Members crossing d, in crossing order along d.
+        """Members crossing d, in crossing order along d; none for a member.
 
         Raises InfiniteCrossers when d straddles a fountain vertex; a finite
         flip patch cannot make that set finite.
         """
+        if self.is_member(d):
+            return []
+        return self._crossing_members(d)
+
+    def _crossing_members(self, d: Arc) -> List[Arc]:
+        """Members crossing d, read off the fans of d's inner vertices.
+
+        A crossing member has one endpoint v strictly inside d and the other
+        outside [d.m, d.n].  Crossing order is v ascending; at one v, the
+        members reaching left come first, nearest end first, then those
+        reaching right, farthest end first.
+        """
         p, q = d
-        cands = set()
+        fans = self._fans
+        out: List[Arc] = []
         for v in range(p + 1, q):
-            partners, complete = self.partners(v)
+            ends, complete = fans.get(v) or self.fan(v)
             if not complete:
                 raise InfiniteCrossers(v)
-            for w in partners:
-                cands.add(Arc(min(v, w), max(v, w)))
-        return crossing_order(d, [x for x in cands if self.is_member(x) and crosses(x, d)])
+            i = bisect_left(ends, p)
+            if i:
+                out += [Arc(w, v) for w in reversed(ends[:i])]
+            j = bisect_right(ends, q)
+            if j < len(ends):
+                out += [Arc(v, w) for w in reversed(ends[j:])]
+        return out
 
     def spanning_arc(self, d: Arc) -> Optional[Arc]:
         """Some member spanning d, or None when no member does.
@@ -377,25 +434,64 @@ class Triangulation:
     # -- triangles and flips -------------------------------------------------
 
     def inner_vertex(self, t: Arc) -> int:
-        hits = [v for v in range(t.m + 1, t.n) if self.side_exists(t.m, v) and self.side_exists(v, t.n)]
-        if len(hits) != 1:
-            raise NotMaximal(f"expected one inner triangle at {tuple(t)}, found {hits}")
-        return hits[0]
+        """Third vertex of the triangle under member t.
+
+        Seen from t.m it is the largest fan neighbour below t.n (t.m + 1
+        when there is none), seen from t.n the smallest fan neighbour above
+        t.m (t.n - 1); the two must agree.  A fountain vertex's fan is not
+        complete, so there only the other end is read, and both sides are
+        checked.
+        """
+        m, n = t
+        ends_m, complete_m = self.fan(m)
+        ends_n, complete_n = self.fan(n)
+        seen = set()
+        if complete_m:
+            i = bisect_left(ends_m, n)
+            seen.add(ends_m[i - 1] if i and ends_m[i - 1] > m else m + 1)
+        if complete_n:
+            j = bisect_right(ends_n, m)
+            seen.add(ends_n[j] if j < len(ends_n) and ends_n[j] < n else n - 1)
+        if len(seen) != 1:
+            raise NotMaximal(f"expected one inner triangle at {tuple(t)}, found {sorted(seen)}")
+        v = seen.pop()
+        if not (complete_m and complete_n) and not (self.side_exists(m, v) and self.side_exists(v, n)):
+            raise NotMaximal(f"no inner triangle at {tuple(t)}")
+        return v
 
     def outer_vertex(self, t: Arc) -> int:
+        """Third vertex of the triangle on the far side of member t.
+
+        Over t it is t.m's first fan neighbour past t.n, which must be t.n's
+        last fan neighbour past t.n (t.n + 1 when there is none); under t
+        it is t.n's last fan neighbour before t.m, which must be t.m's first
+        (t.m - 1).  Exactly one of the two triangles exists.  A polygon's
+        long side counts as a side at its ends.  At a fountain vertex only
+        the other end is read, and both sides are checked.
+        """
         a, b = t
-        cands = {a - 1, b + 1}
-        for v in (a, b):
-            partners, _complete = self.partners(v)
-            cands.update(partners)
+        ends_a, complete_a = self.fan(a)
+        ends_b, complete_b = self.fan(b)
         if self.is_polygon:
-            cands.update((self.base.lo, self.base.hi))
-            cands = {x for x in cands if self.base.lo <= x <= self.base.hi}
+            lo, hi = self.base.lo, self.base.hi
+            if a == lo:
+                ends_a += (hi,)
+            if b == hi:
+                ends_b = (lo,) + ends_b
+        i, j = bisect_right(ends_a, b), bisect_left(ends_b, a)
+        over = (ends_a[i] if i < len(ends_a) else None,
+                ends_b[-1] if ends_b and ends_b[-1] > b else b + 1)
+        under = (ends_a[0] if ends_a and ends_a[0] < a else a - 1,
+                 ends_b[j - 1] if j else None)
         hits = set()
-        for x in cands:
-            if x < a and self.side_exists(x, a) and self.side_exists(x, b):
-                hits.add(x)
-            elif x > b and self.side_exists(a, x) and self.side_exists(b, x):
+        for from_a, from_b in (over, under):
+            if complete_a and complete_b:
+                if from_a == from_b:
+                    hits.add(from_a)
+                continue
+            x = from_a if complete_a else from_b
+            if x is not None and self.side_exists(min(a, x), max(a, x)) \
+                    and self.side_exists(min(b, x), max(b, x)):
                 hits.add(x)
         if len(hits) != 1:
             raise NotMaximal(f"expected one outer triangle at {tuple(t)}, found {sorted(hits)}")
@@ -431,12 +527,7 @@ class Triangulation:
             removed.remove(replacement)
         else:
             added.add(replacement)
-        new = replace(
-            self,
-            flips=self.flips + (t,),
-            added=frozenset(added),
-            removed=frozenset(removed),
-        )
+        new = replace(self, added=frozenset(added), removed=frozenset(removed))
         return FlipResult(new, t, replacement, (q0, q1, q2, q3), middle_c, middle_cp)
 
     # -- validation and quiver ------------------------------------------------
@@ -450,7 +541,7 @@ class Triangulation:
         crossing = set()
         for x in self.members_in_window(lo, hi):
             try:
-                for y in self.crossers(x):
+                for y in self._crossing_members(x):
                     crossing.add((min(x, y), max(x, y)))
             except InfiniteCrossers:
                 crossing.add((x, None))
@@ -485,13 +576,20 @@ class Triangulation:
             check_window(lo, hi)
             vertices = self.members_in_window(lo, hi)
         vs = sorted(set(vertices))
+        # an arrow joins two arcs with exactly one common endpoint, so only
+        # the pairs at each endpoint are tried
+        at: Dict[int, List[Arc]] = {}
+        for a in vs:
+            at.setdefault(a.m, []).append(a)
+            at.setdefault(a.n, []).append(a)
         arrows = []
-        for a, b in itertools.combinations(vs, 2):
-            direction = arrow_between(self, a, b)
-            if direction == 1:
-                arrows.append((a, b))
-            elif direction == -1:
-                arrows.append((b, a))
+        for group in at.values():
+            for a, b in itertools.combinations(group, 2):
+                direction = arrow_between(self, a, b)
+                if direction == 1:
+                    arrows.append((a, b))
+                elif direction == -1:
+                    arrows.append((b, a))
         return Quiver(tuple(vs), tuple(sorted(arrows)))
 
     # -- polygon geometry ------------------------------------------------------
@@ -502,7 +600,7 @@ class Triangulation:
         Arcs map to arcs and boundary to boundary; the long side is
         represented as Edge(hi).
         """
-        assert self.is_polygon
+        self._require_polygon("rotate")
         lo, hi = self.base.lo, self.base.hi
         n_vertices = hi - lo + 1
         if isinstance(x, Edge):
@@ -515,6 +613,10 @@ class Triangulation:
         if (a, b) == (lo, hi):
             return Edge(hi)
         return Arc(a, b)
+
+    def _require_polygon(self, what: str) -> None:
+        if not self.is_polygon:
+            raise NotAPolygon(f"{what} needs a finite polygon model, not a {self.base.kind} triangulation")
 
 
 def check_window(lo: int, hi: int) -> None:
@@ -536,21 +638,17 @@ def arrow_between(T: Triangulation, a: Arc, b: Arc) -> Optional[int]:
     Within a triangle on vertices A < B < C the arrows run
     (A,B) -> (B,C) -> (A,C) -> (A,B) over the sides that are members.
     """
-    shared = {a.m, a.n} & {b.m, b.n}
-    if len(shared) != 1:
-        return None
-    others = sorted({a.m, a.n, b.m, b.n} - shared)
-    if not T.side_exists(others[0], others[1]):
-        return None
-    A, B, C = sorted({a.m, a.n, b.m, b.n})
-    cycle = [(A, B), (B, C), (A, C)]
-    ta, tb = (a.m, a.n), (b.m, b.n)
-    for i in range(3):
-        if cycle[i] == ta and cycle[(i + 1) % 3] == tb:
-            return 1
-        if cycle[i] == tb and cycle[(i + 1) % 3] == ta:
-            return -1
-    return None
+    if a.n == b.m:  # a = (A,B), b = (B,C)
+        third, direction = (a.m, b.n), 1
+    elif b.n == a.m:  # b = (A,B), a = (B,C)
+        third, direction = (b.m, a.n), -1
+    elif a.m == b.m and a.n != b.n:  # (A,B) and (A,C): (A,C) -> (A,B)
+        third, direction = (min(a.n, b.n), max(a.n, b.n)), (1 if a.n > b.n else -1)
+    elif a.n == b.n and a.m != b.m:  # (A,C) and (B,C): (B,C) -> (A,C)
+        third, direction = (min(a.m, b.m), max(a.m, b.m)), (1 if a.m > b.m else -1)
+    else:
+        return None  # no common endpoint, or the same arc
+    return direction if T.side_exists(*third) else None
 
 
 # ---------------------------------------------------------------------------
@@ -587,22 +685,46 @@ def build(spec: dict) -> Triangulation:
 
     ``{"base": {"kind": "fountain", "n": 0}, "flips": [[m, n], ...]}`` with
     kinds fountain / zigzag / polygon / staircase; zigzag is the empty-word
-    staircase.
+    staircase.  Raises InvalidSpec when the spec or its base is not an
+    object, or a field is missing or not an integer (pair).
     """
-    base = spec.get("base", {})
+    if not isinstance(spec, dict) or not isinstance(spec.get("base"), dict):
+        raise InvalidSpec('a triangulation spec is an object {"base": {"kind": ...}, "flips": [...]}')
+    base = spec["base"]
     kind = base.get("kind")
-    flips = [tuple(a) for a in spec.get("flips", ())]
+    flips = _int_pairs(spec.get("flips", []), "flips")
     if kind == "fountain":
-        return fountain(int(base["n"]), flips)
+        return fountain(_int_field(base, "n"), flips)
     if kind == "zigzag":
-        return nested_zigzag(int(base["anchor"]), flips)
+        return nested_zigzag(_int_field(base, "anchor"), flips)
     if kind == "polygon":
-        return polygon(int(base["lo"]), int(base["hi"]),
-                       [tuple(d) for d in base["diagonals"]], flips)
+        return polygon(_int_field(base, "lo"), _int_field(base, "hi"),
+                       _int_pairs(base.get("diagonals"), "diagonals"), flips)
     if kind == "staircase":
-        a = int(base["anchor"])
-        return staircase((a, a + 2), str(base.get("word", "")), flips)
+        a = _int_field(base, "anchor")
+        word = base.get("word", "")
+        if not isinstance(word, str):
+            raise InvalidSpec(f'"word" must be a string, got {word!r}')
+        return staircase((a, a + 2), word, flips)
     raise UnknownFamily(f"unknown base kind {kind!r}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_field(base: dict, name: str) -> int:
+    x = base.get(name)
+    if not _is_int(x):
+        raise InvalidSpec(f"base field {name!r} must be an integer, got {x!r}")
+    return x
+
+
+def _int_pairs(items, name: str) -> List[Tuple[int, int]]:
+    if not isinstance(items, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in items):
+        raise InvalidSpec(f"{name!r} must be a list of integer pairs [m, n], got {items!r}")
+    return [tuple(p) for p in items]
 
 
 # ---------------------------------------------------------------------------

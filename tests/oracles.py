@@ -7,6 +7,7 @@ the closed-form implementations have something dumber to disagree with.
 from itertools import combinations
 
 from infcc.arcs import Arc, crosses
+from infcc.triangulation import crossing_order
 
 
 def window_arcs(lo, hi):
@@ -16,6 +17,81 @@ def window_arcs(lo, hi):
 def brute_crossers(T, d, lo, hi):
     """Members crossing d, by scanning every arc in the window."""
     return sorted(a for a in window_arcs(lo, hi) if T.is_member(a) and crosses(a, d))
+
+
+def brute_fan(T, v, lo, hi):
+    """Co-endpoints in [lo, hi] of the members at v, by testing every arc."""
+    return [w for w in range(lo, hi + 1) if abs(w - v) >= 2 and T.is_member(Arc(min(v, w), max(v, w)))]
+
+
+def scan_crossers(T, d):
+    """Members crossing d, in crossing order, by a scan over d's inner vertices.
+
+    At each inner vertex the candidates are the base arcs there (removed ones
+    included) plus the patch additions, each tested for membership and
+    crossing.  Raises InfiniteCrossers at a fountain vertex inside d.
+    """
+    from infcc.errors import InfiniteCrossers
+
+    cands = set()
+    for v in range(d.m + 1, d.n):
+        partners, complete = T.base.partners(v)
+        if not complete:
+            raise InfiniteCrossers(v)
+        ends = set(partners)
+        ends.update(a.n if a.m == v else a.m for a in T.added if v in a)
+        cands.update(Arc(min(v, w), max(v, w)) for w in ends)
+    return crossing_order(d, [x for x in cands if T.is_member(x) and crosses(x, d)])
+
+
+def scan_inner_vertex(T, t):
+    """Vertices v strictly inside t with both sides (t.m, v) and (v, t.n) present."""
+    return [v for v in range(t.m + 1, t.n) if T.side_exists(t.m, v) and T.side_exists(v, t.n)]
+
+
+def scan_outer_vertex(T, t, lo, hi):
+    """Vertices x in [lo, hi] outside t with both sides to t's ends present."""
+    a, b = t
+    return [x for x in range(lo, hi + 1)
+            if (x < a and T.side_exists(x, a) and T.side_exists(x, b))
+            or (x > b and T.side_exists(a, x) and T.side_exists(b, x))]
+
+
+def cycle_arrow(T, a, b):
+    """Quiver arrow between a and b (+1 for a -> b, -1 for b -> a, None):
+    they share one endpoint and the third side exists, and the arrows of
+    the triangle A < B < C run (A,B) -> (B,C) -> (A,C) -> (A,B)."""
+    shared = {a.m, a.n} & {b.m, b.n}
+    if len(shared) != 1:
+        return None
+    x, y = sorted({a.m, a.n, b.m, b.n} - shared)
+    if not T.side_exists(x, y):
+        return None
+    A, B, C = sorted({a.m, a.n, b.m, b.n})
+    cycle = [(A, B), (B, C), (A, C)]
+    for i in range(3):
+        if cycle[i] == tuple(a) and cycle[(i + 1) % 3] == tuple(b):
+            return 1
+        if cycle[i] == tuple(b) and cycle[(i + 1) % 3] == tuple(a):
+            return -1
+    return None
+
+
+def sweep_propagate(values, targets, *, q_only, edge):
+    """Fill target cells by sweeps: retry every pending cell, in sorted
+    order, until a sweep solves nothing."""
+    from infcc.tilings import _try_cell
+
+    pending = set(targets) - set(values)
+    progress = True
+    while pending and progress:
+        progress = False
+        for cell in sorted(pending):
+            v = _try_cell(values, cell, q_only, edge)
+            if v is not None:
+                values[cell] = v
+                pending.discard(cell)
+                progress = True
 
 
 def brute_submodule_count(walk, dirs):

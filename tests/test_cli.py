@@ -147,11 +147,52 @@ def test_window_without_arcs_exit_1(capsys, argv):
     assert err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("spec", [
+    '{"base":3}',
+    '{"base":{"kind":"zigzag"}}',
+    '{"base":{"kind":"fountain","n":null}}',
+    '{"base":{"kind":"fountain","n":[0]}}',
+    '{"base":{"kind":"zigzag","anchor":0},"flips":[[0,"2"]]}',
+    '{"base":{"kind":"polygon","lo":0,"hi":4,"diagonals":7}}',
+])
+def test_malformed_json_spec_exit_1(capsys, spec):
+    code, out, err = run(capsys, "cc", "--triangulation", spec, "--arc", "2,7")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cc", "--triangulation", "zigzag:0", "--arc", "2,7"],
+    ["flip", "--triangulation", "zigzag:0", "--arc", "0,2"],
+    ["validate", "--triangulation", "zigzag:0", "--window", "-3,3"],
+    ["reduce", "--triangulation", "fountain:0", "--arc", "-4,0"],
+    ["tiling", "--triangulation", "zigzag:0", "--window", "-3,3"],
+    ["frontier", "--word", "RURU", "--bbox", "-3,-3,3,3"],
+    ["quiver", "--triangulation", "polygon:0-4:0.2,0.3"],
+])
+def test_unknown_format_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "bogus")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and "bogus" in err
+    code, _, _ = run(capsys, *argv)  # the verb's default format
+    assert code == 0
+
+
+def test_window_text_format_is_ascii(capsys):
+    argv = ["tiling", "--triangulation", "zigzag:0", "--window", "-4,4"]
+    _, default, _ = run(capsys, *argv)
+    _, text, _ = run(capsys, *argv, "--format", "text")
+    _, ascii_, _ = run(capsys, *argv, "--format", "ascii")
+    assert default == text == ascii_ and " | " in ascii_
+
+
 @pytest.mark.parametrize("argv", [
     ["cc", "--triangulation", "zigzag:0", "--arc", "0,1"],
     ["cc", "--triangulation", "fountain:0", "--arc", "3,0"],
     ["cc", "--triangulation", "polygon:0-4:0.2,1.3", "--arc", "0,3"],
     ["tiling", "--triangulation", "zigzag:0", "--window", "4,-4"],
+    ["cc", "--triangulation", '{"base":3}', "--arc", "2,7"],
+    ["cc", "--triangulation", "zigzag:0", "--arc", "2,7", "--format", "bogus"],
 ])
 def test_usage_errors_survive_optimized_mode(argv):
     # python -O strips asserts: a check the CLI relies on must not be one

@@ -267,6 +267,50 @@ def test_bound_is_tightened_before_refusing():
     assert format_fraction(one * x(A)) == "x[0,2]"
 
 
+# -- from_json ----------------------------------------------------------------------
+
+def json_of(spec):
+    """Raw terms in the to_json shape, repeated arcs and all."""
+    return [{"coeff": c, "exps": [[[a.m, a.n], e] for a, e in exps]} for exps, c in spec]
+
+
+@given(term_specs(max_terms=6))
+def test_from_json_matches_oracle(spec):
+    p = LaurentPoly.from_json(json_of(spec))
+    ref = NaiveLaurent(spec)
+    same(p, ref)
+    assert p.bound >= max((abs(e) for k in ref.terms for _, e in k), default=0)
+
+
+@pytest.mark.parametrize("data, expected", [
+    ([], LaurentPoly.zero()),
+    ([{"coeff": 5, "exps": []}], LaurentPoly.const(5)),
+    ([{"coeff": 1, "exps": [[[0, 2], 1]]}], x(A)),
+    ([{"coeff": 2, "exps": [[[0, 2], -3], [[0, 3], 1]]}], LaurentPoly.monomial({A: -3, B: 1}) * 2),
+    ([{"coeff": 1, "exps": [[[0, 2], 1], [[0, 2], 2]]}], LaurentPoly.monomial({A: 3})),
+    ([{"coeff": 3, "exps": [[[0, 2], 1], [[0, 2], -1]]}], LaurentPoly.const(3)),
+    ([{"coeff": 1, "exps": [[[0, 2], 1]]}, {"coeff": -1, "exps": [[[0, 2], 1]]}], LaurentPoly.zero()),
+    ([{"coeff": 2, "exps": [[[0, 3], 1]]}, {"coeff": 3, "exps": [[[0, 3], 1]]}], x(B) * 5),
+])
+def test_from_json_examples(data, expected):
+    p = LaurentPoly.from_json(data)
+    assert p == expected
+    assert json.dumps(p.to_json()) == json.dumps(expected.to_json())
+    assert format_fraction(p) == format_fraction(expected)
+    if not p.terms or list(p.terms) == [0]:
+        assert p.index is None  # constants need no index
+
+
+def test_from_json_exponent_range():
+    top = [[[0, 2], MAX_EXPONENT], [[0, 3], -MAX_EXPONENT]]  # the sum of |e| passes the limit
+    assert LaurentPoly.from_json([{"coeff": 1, "exps": top}]) == \
+        LaurentPoly.monomial({A: MAX_EXPONENT, B: -MAX_EXPONENT})
+    with pytest.raises(ExponentOverflow):
+        LaurentPoly.from_json([{"coeff": 1, "exps": [[[0, 2], MAX_EXPONENT + 1]]}])
+    with pytest.raises(ExponentOverflow):
+        LaurentPoly.from_json([{"coeff": 1, "exps": [[[0, 2], MAX_EXPONENT], [[0, 2], 1]]}])
+
+
 # -- memo --------------------------------------------------------------------------
 
 def test_warm_session_multiplies_nothing(monkeypatch):

@@ -1,9 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infcc import tilings
 from infcc.arcs import Arc
 from infcc.errors import ExactnessFailure, NonAdmissibleFrontier, NotLocallyFinite
 from infcc.tilings import (
@@ -19,7 +21,7 @@ from infcc.tilings import (
 )
 from infcc.triangulation import fountain, nested_zigzag, path_letter, path_point, staircase
 
-from tests.oracles import frontier_walk
+from tests.oracles import frontier_walk, sweep_propagate
 
 
 def test_spot_values():
@@ -213,3 +215,59 @@ def test_frontier_deep_inside_q():
     for j in range(12, 17):
         assert T.is_member(Arc(0, j))
     assert T.validate_window(-10, 20).ok
+
+
+# ---------------------------------------------------------------------------
+# the worklist propagation against the sweep loop
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        out = fn(*args, **kwargs)
+    except ExactnessFailure:
+        return "ExactnessFailure"
+    return out.values if isinstance(out, TilingWindow) else out
+
+
+def _with_sweeps(fn, *args, **kwargs):
+    with mock.patch.object(tilings, "_propagate", sweep_propagate):
+        return _outcome(fn, *args, **kwargs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(WORDS, ORIGINS, st.integers(3, 9))
+def test_worklist_matches_sweeps_on_frontiers(word, spec, span):
+    F = Frontier(word, **spec)
+    i, j = F.origin
+    bbox = (i - span, j - span, i + span, j + span)
+    assert _outcome(extend_frontier, F, bbox) == _with_sweeps(extend_frontier, F, bbox)
+    assert _outcome(q_overlap_fill, F, -span, span) == _with_sweeps(q_overlap_fill, F, -span, span)
+
+
+def test_worklist_matches_sweeps_on_triangulations():
+    rng = random.Random(29)
+    for T in (nested_zigzag(0), staircase((0, 2), "RRUURRRU"), staircase((1, 3), "UUUR")):
+        for _ in range(3):
+            T = T.flip(rng.choice(T.members_in_window(-6, 7))).new_triangulation
+            for lo, hi in ((-9, 9), (-4, 12)):
+                got = _outcome(recurrence_window, T, lo, hi, strict=False)
+                assert got == _with_sweeps(recurrence_window, T, lo, hi, strict=False)
+
+
+def test_worklist_tries_each_cell_at_most_nine_times():
+    calls, pending = [], []
+    try_cell, propagate = tilings._try_cell, tilings._propagate
+
+    def counting(*args):
+        calls.append(1)
+        return try_cell(*args)
+
+    def recording(values, targets, **kwargs):
+        pending.append(len(set(targets).difference(values)))
+        return propagate(values, targets, **kwargs)
+
+    with mock.patch.object(tilings, "_try_cell", counting), \
+            mock.patch.object(tilings, "_propagate", recording):
+        extend_frontier(Frontier("RRUURRRUUR"), (-32, -32, 32, 32))
+    # once in the first pass, and once after each of its 8 neighbours is solved
+    assert 0 < len(calls) <= 9 * sum(pending)

@@ -10,19 +10,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infcc.arcs import Arc, Edge
-from infcc.errors import FlipTargetNotMember, InfiniteCrossers, NotAMember, NotMaximal, UnknownFamily
+from infcc.errors import (
+    FlipTargetNotMember,
+    InfiniteCrossers,
+    InvalidSpec,
+    NotAMember,
+    NotAPolygon,
+    NotMaximal,
+    UnknownFamily,
+)
 from infcc.exchange import CCSession, cc
 from infcc.triangulation import (
+    StaircaseBase,
     all_polygon_triangulations,
+    arrow_between,
     build,
     fountain,
     nested_zigzag,
     polygon,
     polygon_diagonals,
+    random_polygon_triangulation,
     staircase,
 )
 
-from tests.oracles import brute_crossers, brute_noncrossing_maximal, staircase_walk, window_arcs
+from tests.oracles import (
+    brute_crossers,
+    brute_fan,
+    brute_noncrossing_maximal,
+    cycle_arrow,
+    scan_crossers,
+    scan_inner_vertex,
+    scan_outer_vertex,
+    staircase_walk,
+    window_arcs,
+)
 
 
 def test_build_fountain_members():
@@ -288,10 +309,13 @@ def test_flip_on_non_maximal_raises_not_maximal():
         _broken_pentagon().flip(Arc(0, 2))
 
 
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_flip_on_non_maximal_under_python_O():
     # python -O strips asserts: the triangle checks must not be asserts
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "from dataclasses import replace\n"
         "from infcc.arcs import Arc\n"
@@ -304,7 +328,7 @@ def test_flip_on_non_maximal_under_python_O():
         "    print('NotMaximal')\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "NotMaximal\n"
 
@@ -322,3 +346,152 @@ def test_smallest_window_accepted():
     Z = nested_zigzag(0)
     assert Z.validate_window(0, 2).ok
     assert Z.quiver(0, 2).vertices == (Arc(0, 2),)
+
+
+# -- fans against the vertex scans ---------------------------------------------------
+
+
+def _flipped_triangulations(seed):
+    """Zigzag, fountain, two staircases and a 14-gon, each after 0-6 random flips."""
+    rng = random.Random(seed)
+    bases = [nested_zigzag(0), fountain(0), staircase((0, 2), "RRUURRRU"), staircase((1, 3), "UUUR"),
+             polygon(-6, 7, sorted(random_polygon_triangulation(-6, 7, rng)))]
+    out = []
+    for T in bases:
+        for _ in range(rng.randint(0, 6)):
+            T = T.flip(rng.choice(T.members_in_window(-6, 7))).new_triangulation
+        out.append(T)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fans_match_brute_force(seed):
+    for T in _flipped_triangulations(seed):
+        for v in range(-10, 11):
+            ends, complete = T.fan(v)
+            brute = brute_fan(T, v, -60, 60)
+            if complete:
+                assert list(ends) == brute, (T, v)
+            else:  # the fountain vertex: its added members only
+                assert T.classify().fountain == v
+                assert list(ends) == sorted(w for a in T.added if v in a for w in a if w != v)
+                assert set(ends) <= set(brute)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_crossers_and_triangles_match_the_scans(seed):
+    for T in _flipped_triangulations(seed):
+        for d in window_arcs(-8, 9):
+            try:
+                expected = scan_crossers(T, d)
+            except InfiniteCrossers:
+                with pytest.raises(InfiniteCrossers):
+                    T.crossers(d)
+                continue
+            assert T.crossers(d) == expected, (T, d)
+            if T.is_member(d):
+                assert [T.inner_vertex(d)] == scan_inner_vertex(T, d), (T, d)
+                lo, hi = (T.base.lo, T.base.hi) if T.is_polygon else (-60, 60)
+                assert [T.outer_vertex(d)] == scan_outer_vertex(T, d, lo, hi), (T, d)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_arrows_match_the_triangle_cycle(seed):
+    for T in _flipped_triangulations(seed):
+        arcs = window_arcs(-5, 6)
+        for a in arcs:
+            for b in arcs:
+                assert arrow_between(T, a, b) == cycle_arrow(T, a, b), (T, a, b)
+
+
+def test_member_queries_do_not_scan_the_width(monkeypatch):
+    Z = nested_zigzag(0)
+    calls = []
+    partners = StaircaseBase.partners
+
+    def counting(self, v):
+        calls.append(v)
+        return partners(self, v)
+
+    monkeypatch.setattr(StaircaseBase, "partners", counting)
+    t = Z.base.arc_at(199_999)  # a member of width 200,001
+    assert Z.crossers(t) == [] and calls == []
+    res = Z.flip(t)
+    assert sorted(set(calls)) == sorted({t.m, t.n})  # the two fans, read once each
+    assert res.new_triangulation.is_member(res.replacement)
+    small = Z.base.arc_at(1_999)
+    assert [Z.inner_vertex(small)] == scan_inner_vertex(Z, small)
+
+
+def test_fan_memo_is_not_part_of_the_value():
+    Z = nested_zigzag(0)
+    Z.crossers(Arc(-5, 7))
+    fresh = nested_zigzag(0)
+    assert Z == fresh and hash(Z) == hash(fresh) and repr(Z) == repr(fresh)
+
+
+def test_flip_round_trip_gives_an_equal_triangulation():
+    Z = nested_zigzag(0)
+    res = Z.flip(Arc(0, 2))
+    back = res.new_triangulation.flip(res.replacement).new_triangulation
+    assert back.added == frozenset() and back.removed == frozenset()
+    assert back == Z and hash(back) == hash(Z)
+    session = CCSession()
+    value = cc(Z, Arc(1, 5), session)
+    size = len(session.memo)
+    assert cc(back, Arc(1, 5), session) is value  # a memo hit
+    assert len(session.memo) == size
+
+
+# -- typed errors ------------------------------------------------------------------
+
+
+def test_polygon_operations_refuse_infinite_models():
+    Z = nested_zigzag(0)
+    with pytest.raises(NotAPolygon):
+        Z.rotate(Arc(0, 2), 1)
+    with pytest.raises(NotAPolygon):
+        Z.polygon_members()
+
+
+def test_polygon_operations_refuse_under_python_O():
+    code = (
+        "from infcc.arcs import Arc\n"
+        "from infcc.errors import NotAPolygon\n"
+        "from infcc.triangulation import nested_zigzag\n"
+        "Z = nested_zigzag(0)\n"
+        "for call in (lambda: Z.rotate(Arc(0, 2), 1), Z.polygon_members):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except NotAPolygon:\n"
+        "        print('NotAPolygon')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "NotAPolygon\nNotAPolygon\n"
+
+
+ZIG = {"kind": "zigzag", "anchor": 0}
+
+
+@pytest.mark.parametrize("spec", [
+    3,
+    {"base": 3},
+    {"base": None},
+    {},
+    {"base": {"kind": "fountain"}},
+    {"base": {"kind": "fountain", "n": "0"}},
+    {"base": {"kind": "fountain", "n": 1.5}},
+    {"base": {"kind": "fountain", "n": True}},
+    {"base": {"kind": "staircase", "word": "RU"}},
+    {"base": {"kind": "staircase", "anchor": 0, "word": 5}},
+    {"base": {"kind": "polygon", "lo": 0, "hi": 4}},
+    {"base": {"kind": "polygon", "lo": 0, "hi": 4, "diagonals": [[0, 2], [0, "3"]]}},
+    {"base": ZIG, "flips": 3},
+    {"base": ZIG, "flips": [[0]]},
+    {"base": ZIG, "flips": [["a", 2]]},
+])
+def test_build_rejects_malformed_specs(spec):
+    with pytest.raises(InvalidSpec):
+        build(spec)
