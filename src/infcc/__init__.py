@@ -6,50 +6,68 @@ variables two independent ways: a Ptolemy exchange recursion that works on
 the infinite families, and a direct submodule-counting formula on finite
 polygon models.  Reduction to polygons, split K-theory bookkeeping, and
 tiling generation tie the routes together with exact integer arithmetic.
+
+The namespace is lazy (PEP 562): ``import infcc`` loads no submodule, and
+a public name or a submodule loads its module on first use, so a process
+compiles only the modules it runs.
 """
 
-from .arcs import Arc, Edge, arc, crosses, seg, shift, spans
-from .errors import (
-    ExactnessFailure,
-    FlipTargetNotMember,
-    InfccError,
-    InfiniteCrossers,
-    NonAdmissibleFrontier,
-    NotAMember,
-    NotLocallyFinite,
-    SupportMeetsU,
-    Unreachable,
-    UnknownFamily,
-)
-from .exchange import CCSession, ReachabilityVerdict, cc, cc_multiset, is_reachable
-from .laurent import LaurentPoly, format_fraction
-from .cc_direct import cc_direct
-from .ktheory import ModClass, SplitK0Class, coindex, index, kappa_embed, theta, theta_simple
-from .modules import StringModule, count_submodules, g_module, submodule_classes
-from .reduction import ReducedModel, USpec, cc_bar, perp, pi_star, reduce, u_of
-from .tilings import (
-    Frontier,
-    TilingWindow,
-    extend_frontier,
-    frontier_to_triangulation,
-    q_overlap_fill,
-    tiling_window,
-    verify_sl2,
-)
-from .triangulation import (
-    Classification,
-    Diagnosis,
-    FlipResult,
-    Quiver,
-    Triangulation,
-    all_polygon_triangulations,
-    build,
-    fountain,
-    nested_zigzag,
-    polygon,
-    polygon_diagonals,
-    random_polygon_triangulation,
-    staircase,
-)
+import sys
+from importlib import import_module
 
 __version__ = "1.0.0"
+
+# submodule -> the public names it defines
+_EXPORTS = {
+    "arcs": ("Arc", "Edge", "arc", "crosses", "seg", "shift", "spans"),
+    "errors": ("ExactnessFailure", "FlipTargetNotMember", "InfccError", "InfiniteCrossers",
+               "NonAdmissibleFrontier", "NotAMember", "NotLocallyFinite", "SupportMeetsU",
+               "Unreachable", "UnknownFamily"),
+    "exchange": ("CCSession", "ReachabilityVerdict", "cc", "cc_multiset", "is_reachable"),
+    "laurent": ("LaurentPoly", "format_fraction"),
+    "cc_direct": ("cc_direct",),
+    "ktheory": ("ModClass", "SplitK0Class", "coindex", "index", "kappa_embed", "theta",
+                "theta_simple"),
+    "modules": ("StringModule", "count_submodules", "g_module", "submodule_classes"),
+    "reduction": ("ReducedModel", "USpec", "cc_bar", "perp", "pi_star", "reduce", "u_of"),
+    "tilings": ("Frontier", "TilingWindow", "extend_frontier", "frontier_to_triangulation",
+                "q_overlap_fill", "tiling_window", "verify_sl2"),
+    "triangulation": ("Classification", "Diagnosis", "FlipResult", "Quiver", "Triangulation",
+                      "all_polygon_triangulations", "build", "fountain", "nested_zigzag",
+                      "polygon", "polygon_diagonals", "random_polygon_triangulation",
+                      "staircase"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "verify"}
+
+# What `from infcc import *` bound when this file imported every submodule:
+# the public names, and the submodules that are not shadowed by a name
+# (`cc_direct` is the function).  `cli` and `verify` were never bound.
+__all__ = sorted(_ORIGIN.keys() | (_EXPORTS.keys() - _ORIGIN.keys()))
+
+
+def __getattr__(name):
+    if name in _ORIGIN:
+        value = getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _ORIGIN.keys() | _SUBMODULES)
+
+
+class _Package(type(sys)):
+    def __setattr__(self, name, value):
+        # Loading a submodule binds it on the package; the submodule
+        # `cc_direct` must not replace the function of the same name.
+        if name in _ORIGIN and isinstance(value, type(sys)):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

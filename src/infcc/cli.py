@@ -11,7 +11,8 @@ import argparse
 import json
 import re
 import sys
-from typing import List, Optional, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .arcs import Arc, Edge, arc
 from .errors import (
@@ -21,11 +22,12 @@ from .errors import (
     NotLocallyFinite,
     Unreachable,
 )
-from .exchange import cc
-from .laurent import format_fraction
-from .reduction import cc_bar, reduce, u_of
-from .tilings import Frontier, extend_frontier, tiling_window, verify_sl2
-from .triangulation import Triangulation, build, check_window, fountain, nested_zigzag, polygon
+
+if TYPE_CHECKING:
+    from .triangulation import Triangulation
+
+# Each verb imports the modules it runs inside its _cmd_* function, so a
+# cold process compiles only those (README "Cold start").
 
 
 class _UsageError(Exception):
@@ -42,35 +44,51 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_TRIANGULATION_SHAPE = "fountain:N, zigzag:N, polygon:LO-HI:M.N,M.N,... or a JSON spec"
+_INT = r"[-+]?\d+"
+_SHORTHAND = re.compile(rf"(fountain|zigzag):({_INT})|polygon:({_INT})-({_INT}):(.*)")
+_DIAGONAL = re.compile(rf"({_INT})\.({_INT})")
+
+
+def _ints(text: str, count: int, option: str, shape: str) -> Tuple[int, ...]:
+    """`count` comma-separated integers, or a usage error naming the option."""
+    parts = text.split(",")
+    if len(parts) == count:
+        try:
+            return tuple(int(v) for v in parts)
+        except ValueError:
+            pass
+    raise _UsageError(f"{option} expects {shape}, got {text!r}")
+
+
 def parse_triangulation(text: str) -> Triangulation:
     """Shorthand: fountain:0 | zigzag:0 | polygon:0-4:0.2,0.3 | JSON spec."""
+    from .triangulation import build, fountain, nested_zigzag, polygon
+
     text = text.strip()
     if text.startswith("{"):
         return build(json.loads(text))
-    parts = text.split(":")
-    kind = parts[0]
-    if kind == "fountain" and len(parts) == 2:
-        return fountain(int(parts[1]))
-    if kind == "zigzag" and len(parts) == 2:
-        return nested_zigzag(int(parts[1]))
-    if kind == "polygon" and len(parts) == 3:
-        lo, hi = (int(v) for v in parts[1].split("-"))
-        diags = []
-        if parts[2]:
-            for item in parts[2].split(","):
-                m, n = (int(v) for v in item.split("."))
-                diags.append((m, n))
-        return polygon(lo, hi, diags)
-    raise _UsageError(f"cannot parse triangulation spec {text!r}")
+    m = _SHORTHAND.fullmatch(text)
+    if m is not None:
+        kind, n, lo, hi, diagonals = m.groups()
+        if kind == "fountain":
+            return fountain(int(n))
+        if kind == "zigzag":
+            return nested_zigzag(int(n))
+        pairs = [_DIAGONAL.fullmatch(item) for item in diagonals.split(",")] if diagonals else []
+        if all(pairs):
+            return polygon(int(lo), int(hi), [(int(p[1]), int(p[2])) for p in pairs])
+    raise _UsageError(f"--triangulation expects {_TRIANGULATION_SHAPE}, got {text!r}")
 
 
 def parse_arc(text: str) -> Arc:
-    m, n = (int(v) for v in text.split(","))
-    return arc(m, n)
+    return arc(*_ints(text, 2, "--arc", "M,N (two integers)"))
 
 
 def parse_window(text: str) -> Tuple[int, int]:
-    lo, hi = (int(v) for v in text.split(","))
+    from .triangulation import check_window
+
+    lo, hi = _ints(text, 2, "--window", "LO,HI (two integers)")
     check_window(lo, hi)
     return lo, hi
 
@@ -81,16 +99,13 @@ def _seg_json(s):
     return [s.m, s.n]
 
 
-def _emit_poly(p, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(p.to_json()))
-    else:
-        print(format_fraction(p))
-
-
 def _cmd_cc(args) -> int:
+    from .exchange import cc
+    from .laurent import format_fraction
+
     T = parse_triangulation(args.triangulation)
-    _emit_poly(cc(T, parse_arc(args.arc)), args.format)
+    p = cc(T, parse_arc(args.arc))
+    print(json.dumps(p.to_json()) if args.format == "json" else format_fraction(p))
     return 0
 
 
@@ -134,14 +149,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .exchange import cc
+    from .reduction import cc_bar, reduce, u_of
+    from .triangulation import polygon_diagonals
+
     T = parse_triangulation(args.triangulation)
     t = parse_arc(args.arc)
     red = reduce(T, t)
     U = u_of(T, t)
     diagonals = [d for d in red.model.polygon_members()]
     checks = []
-    from .triangulation import polygon_diagonals
-
     for d in polygon_diagonals(t.m, t.n):
         lhs = cc_bar(T, U, d)
         rhs = cc(red.model, d)
@@ -163,6 +180,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_tiling(args) -> int:
+    from .tilings import tiling_window, verify_sl2
+
     T = parse_triangulation(args.triangulation)
     W = tiling_window(T, *parse_window(args.window))
     if args.check:
@@ -202,8 +221,10 @@ def _print_window(W, fmt: str) -> None:
 
 
 def _cmd_frontier(args) -> int:
+    from .tilings import Frontier, extend_frontier
+
     F = Frontier(args.word, anchor=args.anchor)
-    W = extend_frontier(F, tuple(int(v) for v in args.bbox.split(",")))
+    W = extend_frontier(F, _ints(args.bbox, 4, "--bbox", "I_LO,J_LO,I_HI,J_HI (four integers)"))
     _print_window(W, args.format)
     return 0
 
@@ -228,13 +249,20 @@ def _cmd_quiver(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_suite
+    from .verify import CRITERIA, run_suite
 
+    if args.suite != "all":
+        numbers = [n.strip() for n in args.suite.split(",")]
+        if not all(n.isdecimal() and 1 <= int(n) <= len(CRITERIA) for n in numbers):
+            raise _UsageError(f"--suite expects 'all' or criterion numbers 1-{len(CRITERIA)} "
+                              f"separated by commas, got {args.suite!r}")
     ok = run_suite(args.suite, args.size, seed=args.seed)
     return 0 if ok else 1
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The parser, built once per process (criterion 9 calls main many times)."""
     p = _Parser(prog="infcc", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)
 

@@ -30,6 +30,15 @@ class NotAMember(InfccError, ValueError):
     """Operation requires a member arc of the triangulation."""
 
 
+class InvalidModule(InfccError, ValueError):
+    """A string module's walk and structure directions do not fit together,
+    or do not match the triangulation the module is read over."""
+
+
+class TooLarge(InfccError):
+    """A computation would exceed a documented size limit."""
+
+
 class NotMaximal(InfccError):
     """A non-member arc crosses no member: the arcs are not a triangulation."""
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .arcs import Arc, Edge, Seg
+from .errors import InvalidModule, NotMaximal, TooLarge
 from .triangulation import Triangulation, arrow_between
 
 
@@ -32,8 +33,11 @@ class StringModule:
     dirs: Tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.dirs) == max(len(self.walk) - 1, 0)
-        assert len(set(self.walk)) == len(self.walk), "walks are multiplicity-free"
+        if len(self.dirs) != max(len(self.walk) - 1, 0):
+            raise InvalidModule(f"a walk of {len(self.walk)} vertices needs "
+                                f"{max(len(self.walk) - 1, 0)} directions, got {len(self.dirs)}")
+        if len(set(self.walk)) != len(self.walk):
+            raise InvalidModule("walks are multiplicity-free")
 
     @property
     def is_zero(self) -> bool:
@@ -74,10 +78,15 @@ def g_module(T: Triangulation, c: Seg) -> StringModule:
     dirs = []
     for a, b in zip(walk, walk[1:]):
         arrow = arrow_between(T, a, b)
-        assert arrow is not None, f"consecutive crossers {tuple(a)}, {tuple(b)} share no triangle"
+        if arrow is None:
+            raise NotMaximal(f"consecutive crossers {tuple(a)}, {tuple(b)} share no triangle")
         # arrow a -> b acts as a map from the value at b into the value at a
         dirs.append(-arrow)
     return StringModule(walk, tuple(dirs))
+
+
+# submodule_classes enumerates 2^k subsets of a walk of k vertices
+MAX_SUBMODULE_WALK = 24
 
 
 @dataclass(frozen=True)
@@ -100,7 +109,9 @@ def submodule_classes(M: StringModule) -> SubmoduleClassTable:
     chosen, y must be chosen too.
     """
     k = len(M.walk)
-    assert k <= 24, "submodule enumeration is exponential; walk too long"
+    if k > MAX_SUBMODULE_WALK:
+        raise TooLarge(f"submodule enumeration is exponential: a walk of {k} vertices is "
+                       f"longer than {MAX_SUBMODULE_WALK}")
     entries = []
     for mask in range(1 << k):
         ok = True

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from .arcs import Arc, Seg, shift, spans
-from .errors import InfiniteCrossers, NotAMember
+from .errors import (
+    InfiniteCrossers,
+    InvalidModule,
+    NotAMember,
+    NotLocallyFinite,
+    NotMaximal,
+    SupportMeetsU,
+)
 from .exchange import CCSession, cc
 from .laurent import LaurentPoly
 from .modules import StringModule
@@ -78,24 +85,27 @@ def pi_star(M: StringModule, U: USpec) -> StringModule:
     """Re-read a reduced-model string over the ambient triangulation.
 
     The walk and the structure directions are literally unchanged; we
-    recompute the directions from the ambient triangles and assert they
+    recompute the directions from the ambient triangles and check they
     agree, which is the module-theoretic content of the embedding.
     """
     if M.is_zero:
         return M
     for v in M.walk:
-        assert U.ambient.is_member(v) and not U.contains(v), \
-            f"walk vertex {tuple(v)} must be a spanned ambient member"
+        if not U.ambient.is_member(v):
+            raise NotAMember(f"walk vertex {tuple(v)} is not an ambient member")
+        if U.contains(v):
+            raise SupportMeetsU(f"walk vertex {tuple(v)} lies in U")
     from .triangulation import arrow_between
 
     dirs = []
     for a, b in zip(M.walk, M.walk[1:]):
         arrow = arrow_between(U.ambient, a, b)
-        assert arrow is not None
+        if arrow is None:
+            raise NotMaximal(f"consecutive walk vertices {tuple(a)}, {tuple(b)} share no triangle")
         dirs.append(-arrow)
-    out = StringModule(M.walk, tuple(dirs))
-    assert out.dirs == M.dirs, "ambient structure maps must match the reduced ones"
-    return out
+    if tuple(dirs) != M.dirs:
+        raise InvalidModule("ambient structure maps must match the reduced ones")
+    return M
 
 
 def cc_bar(T: Triangulation, U: USpec, d: Seg,
@@ -112,7 +122,9 @@ def cofinite_uspec_for(T: Triangulation, c: Arc, simples_of: Iterable[Arc] = ())
     representative arc additionally in perp(U).  Locally finite
     triangulations only.
     """
-    assert T.classify().kind == "locally_finite"
+    kind = T.classify().kind
+    if kind != "locally_finite":
+        raise NotLocallyFinite(f"a cofinite U needs a locally finite triangulation, not a {kind} one")
     reps = list(simples_of)
     lo, hi = c.m, c.n
     for _ in range(64):

@@ -1,13 +1,14 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from infcc.arcs import Arc
 from infcc.cli import main, parse_triangulation
 from infcc.triangulation import nested_zigzag
+
+from tests.subproc import src_env
 
 
 def run(capsys, *argv):
@@ -161,15 +162,19 @@ def test_malformed_json_spec_exit_1(capsys, spec):
     assert err.startswith("usage error:")
 
 
-@pytest.mark.parametrize("argv", [
-    ["cc", "--triangulation", "zigzag:0", "--arc", "2,7"],
-    ["flip", "--triangulation", "zigzag:0", "--arc", "0,2"],
-    ["validate", "--triangulation", "zigzag:0", "--window", "-3,3"],
-    ["reduce", "--triangulation", "fountain:0", "--arc", "-4,0"],
-    ["tiling", "--triangulation", "zigzag:0", "--window", "-3,3"],
-    ["frontier", "--word", "RURU", "--bbox", "-3,-3,3,3"],
-    ["quiver", "--triangulation", "polygon:0-4:0.2,0.3"],
-])
+# one working argv per verb except verify
+VERB_ARGV = {
+    "cc": ["cc", "--triangulation", "zigzag:0", "--arc", "2,7"],
+    "flip": ["flip", "--triangulation", "zigzag:0", "--arc", "0,2"],
+    "validate": ["validate", "--triangulation", "zigzag:0", "--window", "-3,3"],
+    "reduce": ["reduce", "--triangulation", "fountain:0", "--arc", "-4,0"],
+    "tiling": ["tiling", "--triangulation", "zigzag:0", "--window", "-3,3"],
+    "frontier": ["frontier", "--word", "RURU", "--bbox", "-3,-3,3,3"],
+    "quiver": ["quiver", "--triangulation", "polygon:0-4:0.2,0.3"],
+}
+
+
+@pytest.mark.parametrize("argv", list(VERB_ARGV.values()))
 def test_unknown_format_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv, "--format", "bogus")
     assert code == 1 and out == ""
@@ -196,9 +201,112 @@ def test_window_text_format_is_ascii(capsys):
 ])
 def test_usage_errors_survive_optimized_mode(argv):
     # python -O strips asserts: a check the CLI relies on must not be one
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-O", "-m", "infcc.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=src_env(), timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["validate", "--triangulation", "zigzag:0", "--window", "1,2,3"], "--window"),
+    (["tiling", "--triangulation", "zigzag:0", "--window", "a,4"], "--window"),
+    (["quiver", "--triangulation", "zigzag:0", "--window", "4"], "--window"),
+    (["frontier", "--word", "RU", "--bbox", "1,2"], "--bbox"),
+    (["frontier", "--word", "RU", "--bbox", "1,2,3,x"], "--bbox"),
+    (["cc", "--triangulation", "zigzag:0", "--arc", "1,2,3"], "--arc"),
+    (["flip", "--triangulation", "zigzag:0", "--arc", "x,2"], "--arc"),
+    (["cc", "--triangulation", "zigzag:x", "--arc", "2,7"], "--triangulation"),
+    (["cc", "--triangulation", "fountain:", "--arc", "2,7"], "--triangulation"),
+    (["cc", "--triangulation", "polygon:0-x:", "--arc", "0,2"], "--triangulation"),
+    (["cc", "--triangulation", "polygon:0-4:0.2,0.x", "--arc", "0,2"], "--triangulation"),
+    (["verify", "--suite", "2,x"], "--suite"),
+    (["verify", "--suite", "11"], "--suite"),
+])
+def test_malformed_option_values_name_the_option(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and option in err and "expects" in err
+    assert "unpack" not in err and "invalid literal" not in err
+
+
+def test_polygon_shorthand_takes_negative_vertices(capsys):
+    P = parse_triangulation("polygon:-2-2:-2.0,-2.1")
+    assert P.polygon_members() == [Arc(-2, 0), Arc(-2, 1)]
+    code, out, _ = run(capsys, "cc", "--triangulation", "polygon:-2-2:-2.0,-2.1", "--arc", "-1,1")
+    assert code == 0 and out.strip() == "(x[-2,1] + 1)/x[-2,0]"
+
+
+# one fresh interpreter running cli.main once: its exit code, its stdout
+# and the infcc modules it loaded
+_FRESH = """
+import contextlib, io, json, sys
+from infcc import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "out": out.getvalue(),
+                  "modules": sorted(m for m in sys.modules if m.startswith("infcc"))}))
+"""
+
+# several verbs in a row in one interpreter, usage errors between them
+_IN_A_ROW = """
+import contextlib, io, json, sys
+from infcc import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        results.append({"code": cli.main(argv), "out": out.getvalue()})
+print(json.dumps(results))
+"""
+
+_BAD_ARC = ["cc", "--triangulation", "zigzag:0", "--arc", "1,2,3"]
+
+# the infcc modules beyond infcc, infcc.cli, infcc.arcs and infcc.errors
+# that each verb loads (README, "Cold start")
+VERB_MODULES = {
+    "cc": {"triangulation", "laurent", "exchange"},
+    "flip": {"triangulation"},
+    "validate": {"triangulation"},
+    "quiver": {"triangulation"},
+    "tiling": {"triangulation", "modules", "tilings"},
+    "frontier": {"triangulation", "modules", "tilings"},
+    "reduce": {"triangulation", "laurent", "exchange", "modules", "reduction"},
+}
+
+
+def _start(*args):
+    return subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=src_env())
+
+
+def _result(proc):
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    return json.loads(out)
+
+
+@pytest.fixture(scope="module")
+def fresh_runs():
+    procs = {verb: _start("-c", _FRESH, *argv) for verb, argv in VERB_ARGV.items()}
+    return {verb: _result(proc) for verb, proc in procs.items()}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_MODULES))
+def test_each_verb_loads_only_its_modules(fresh_runs, verb):
+    run_ = fresh_runs[verb]
+    assert run_["code"] == 0
+    base = {"infcc", "infcc.cli", "infcc.arcs", "infcc.errors"}
+    assert set(run_["modules"]) == base | {f"infcc.{m}" for m in VERB_MODULES[verb]}
+
+
+def test_verbs_in_a_row_print_what_fresh_processes_print(fresh_runs):
+    verbs = list(VERB_ARGV)
+    argvs = []
+    for verb in verbs:
+        argvs += [VERB_ARGV[verb], _BAD_ARC]
+    results = _result(_start("-c", _IN_A_ROW, json.dumps(argvs)))
+    for i, verb in enumerate(verbs):
+        fresh = fresh_runs[verb]
+        assert results[2 * i] == {"code": fresh["code"], "out": fresh["out"]}, verb
+        assert results[2 * i + 1] == {"code": 1, "out": ""}

@@ -1,9 +1,14 @@
 import random
+import subprocess
+import sys
+
+import pytest
 
 from infcc.arcs import Arc, Edge
 from infcc.cc_direct import cc_direct
 from infcc.exchange import cc
 from infcc.laurent import ONE, LaurentPoly
+from infcc.errors import InvalidModule
 from infcc.modules import StringModule, count_submodules, g_module, submodule_classes
 from infcc.triangulation import (
     all_polygon_triangulations,
@@ -14,6 +19,7 @@ from infcc.triangulation import (
 )
 
 from tests.oracles import brute_submodule_count
+from tests.subproc import src_env
 
 PENT = polygon(0, 4, [(0, 2), (0, 3)])
 x = LaurentPoly.variable
@@ -121,3 +127,27 @@ def test_product_identities_as_polynomials():
             for s in (seg(q1, q2), seg(q0, q3)):
                 rhs2 = rhs2 * (cc_direct(P, s) if not P.is_boundary(s) and isinstance(s, Arc) else ONE)
             assert lhs == rhs + rhs2, (a, b)
+
+
+def test_malformed_string_modules_are_refused():
+    with pytest.raises(InvalidModule):
+        StringModule((Arc(0, 2),), (1,))
+    with pytest.raises(InvalidModule):
+        StringModule((Arc(0, 2), Arc(0, 2)), (1,))
+
+
+def test_walk_cap_survives_optimized_mode():
+    # python -O strips asserts; past the cap the enumeration is 2^25 masks
+    code = """
+from infcc.arcs import Arc
+from infcc.errors import TooLarge
+from infcc.modules import MAX_SUBMODULE_WALK, StringModule, submodule_classes
+k = MAX_SUBMODULE_WALK + 1
+try:
+    submodule_classes(StringModule(tuple(Arc(0, n) for n in range(2, k + 2)), (1,) * (k - 1)))
+except TooLarge:
+    print("refused")
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0 and proc.stdout.strip() == "refused", proc.stderr

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from infcc.arcs import Arc
-from infcc.errors import NotAMember
+from infcc.errors import InvalidModule, NotAMember, NotLocallyFinite, SupportMeetsU
 from infcc.exchange import CCSession, cc
 from infcc.laurent import ONE, LaurentPoly
 from infcc.modules import StringModule, g_module, submodule_classes
@@ -79,6 +79,14 @@ def test_pi_star_examples():
     assert len(M.walk) == 2
     assert pi_star(M, U5).dirs == M.dirs
 
+    # typed refusals, also under python -O
+    with pytest.raises(NotAMember):
+        pi_star(StringModule((Arc(-3, -1),), ()), U)
+    with pytest.raises(SupportMeetsU):
+        pi_star(StringModule((Arc(-4, 0),), ()), U)
+    with pytest.raises(InvalidModule):
+        pi_star(StringModule(M.walk, tuple(-d for d in M.dirs)), U5)
+
 
 def test_submodule_tables_transfer():
     for T, t in [(fountain(0), Arc(-5, 0)), (nested_zigzag(0), Arc(-2, 4))]:
@@ -138,3 +146,5 @@ def test_cofinite_uspec_conditions():
         p = cc(Z, c)
         assert p.substitute_unit(U.contains) == p
         assert all(not U.contains(a) for a in p.variables())
+    with pytest.raises(NotLocallyFinite):
+        cofinite_uspec_for(fountain(0), Arc(-3, -1))

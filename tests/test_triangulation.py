@@ -1,9 +1,7 @@
-import os
 import random
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +42,7 @@ from tests.oracles import (
     staircase_walk,
     window_arcs,
 )
+from tests.subproc import src_env
 
 
 def test_build_fountain_members():
@@ -309,11 +308,6 @@ def test_flip_on_non_maximal_raises_not_maximal():
         _broken_pentagon().flip(Arc(0, 2))
 
 
-def _src_env():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 def test_flip_on_non_maximal_under_python_O():
     # python -O strips asserts: the triangle checks must not be asserts
     code = (
@@ -328,7 +322,7 @@ def test_flip_on_non_maximal_under_python_O():
         "    print('NotMaximal')\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, env=_src_env(), timeout=60)
+                          capture_output=True, text=True, env=src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "NotMaximal\n"
 
@@ -467,7 +461,7 @@ def test_polygon_operations_refuse_under_python_O():
         "        print('NotAPolygon')\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, env=_src_env(), timeout=60)
+                          capture_output=True, text=True, env=src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "NotAPolygon\nNotAPolygon\n"
 
