@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from .arcs import Arc, Edge, Seg, crosses, seg
+from .arcs import Arc, Edge, Seg, arc, crosses, seg
 from .errors import NotMaximal, Unreachable
 from .laurent import ONE, LaurentPoly, VarIndex
 from .triangulation import Triangulation, crossing_order
@@ -75,8 +75,8 @@ def cc(T: Triangulation, d: Seg, session: Optional[CCSession] = None) -> Laurent
     """
     if session is None:
         session = CCSession()
-    if isinstance(d, Arc) and d.n - d.m < 2:
-        raise ValueError(f"({d.m},{d.n}) is not an arc: need m <= n-2")
+    if isinstance(d, Arc):
+        arc(*d)
     if isinstance(d, Edge) or T.is_boundary(d):
         return ONE
     if T.is_polygon:

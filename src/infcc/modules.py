@@ -11,19 +11,24 @@ and the direction of each structure map:
 A quiver arrow a -> b acts contravariantly, i.e. it induces a structure map
 from the value at b into the value at a.
 
-Submodules are subsets of walk vertices closed under the structure maps;
-for these multiplicity-free strings each nonempty class of submodules is a
-single point, so every Euler characteristic below equals 1 and counting
-points is counting submodules.
+Submodules are subsets of walk vertices closed under the structure maps.
+Every sum over them is one two-state transfer along the walk,
+`submodule_sum` (the 2x2 matrix product of Musiker-Williams, "Matrix
+formulae and skein relations for cluster algebras from surfaces", IMRN
+2013): unit weights count the submodules, a formal variable per vertex
+lists their classes, and y_v = x^theta(S_v) gives the Caldero-Chapoton
+sum.  These strings are multiplicity-free, so each class of submodules is
+a single point and every Euler characteristic equals 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from itertools import repeat
+from typing import Iterable, List, Sequence, Tuple
 
 from .arcs import Arc, Edge, Seg
-from .errors import InvalidModule, NotMaximal, TooLarge
+from .errors import InvalidModule, NotMaximal
 from .triangulation import Triangulation, arrow_between
 
 
@@ -66,6 +71,17 @@ class StringModule:
         return {v: 1 for v in self.walk}
 
 
+def walk_dirs(T: Triangulation, walk: Sequence[Arc]) -> Tuple[int, ...]:
+    """Structure directions of a walk of members; NotMaximal unless each step shares a triangle."""
+    dirs = []
+    for a, b in zip(walk, walk[1:]):
+        arrow = arrow_between(T, a, b)
+        if arrow is None:
+            raise NotMaximal(f"consecutive walk vertices {tuple(a)}, {tuple(b)} share no triangle")
+        dirs.append(-arrow)  # arrow a -> b maps the value at b into the value at a
+    return tuple(dirs)
+
+
 def g_module(T: Triangulation, c: Seg) -> StringModule:
     """The string module of c: supported on the members crossing c.
 
@@ -75,18 +91,32 @@ def g_module(T: Triangulation, c: Seg) -> StringModule:
     if isinstance(c, Edge) or T.is_boundary(c) or T.is_member(c):
         return StringModule((), ())
     walk = tuple(T.crossers(c))
-    dirs = []
-    for a, b in zip(walk, walk[1:]):
-        arrow = arrow_between(T, a, b)
-        if arrow is None:
-            raise NotMaximal(f"consecutive crossers {tuple(a)}, {tuple(b)} share no triangle")
-        # arrow a -> b acts as a map from the value at b into the value at a
-        dirs.append(-arrow)
-    return StringModule(walk, tuple(dirs))
+    return StringModule(walk, walk_dirs(T, walk))
 
 
-# submodule_classes enumerates 2^k subsets of a walk of k vertices
-MAX_SUBMODULE_WALK = 24
+def submodule_sum(M: StringModule, ys: Iterable, one):
+    """Sum over the submodules N of M of the product of y_v over v in N.
+
+    `ys` yields one weight per walk vertex, in walk order, from any
+    commutative ring whose unit is `one`; the zero module sums to `one`.
+    """
+    if M.is_zero:
+        return one
+    ys = iter(ys)
+    out_, in_ = one, next(ys)  # the subsets of walk[0..i] with walk[i] out / in
+    for d, y in zip(M.dirs, ys):
+        if d == +1:
+            # choosing i forces i+1, so "i+1 out" admits only "i out" prefixes
+            out_, in_ = out_, (out_ + in_) * y
+        else:
+            # choosing i+1 forces i
+            out_, in_ = out_ + in_, in_ * y
+    return out_ + in_
+
+
+def count_submodules(M: StringModule) -> int:
+    """Number of submodules: the transfer with unit weights."""
+    return submodule_sum(M, repeat(1), 1)
 
 
 @dataclass(frozen=True)
@@ -102,42 +132,15 @@ class SubmoduleClassTable:
 
 
 def submodule_classes(M: StringModule) -> SubmoduleClassTable:
-    """All submodule classes of a string module, each a single point.
+    """All submodule classes of a string module, smallest first.
 
-    A subset of walk vertices is a submodule iff it is closed under the
-    structure maps: whenever a map sends vertex x into vertex y and x is
-    chosen, y must be chosen too.
+    The transfer with a formal variable x_v per walk vertex: each term of
+    the sum is one class, and its coefficient is the Euler characteristic.
     """
-    k = len(M.walk)
-    if k > MAX_SUBMODULE_WALK:
-        raise TooLarge(f"submodule enumeration is exponential: a walk of {k} vertices is "
-                       f"longer than {MAX_SUBMODULE_WALK}")
-    entries = []
-    for mask in range(1 << k):
-        ok = True
-        for i, d in enumerate(M.dirs):
-            src, dst = (i, i + 1) if d == +1 else (i + 1, i)
-            if mask >> src & 1 and not mask >> dst & 1:
-                ok = False
-                break
-        if ok:
-            e = {M.walk[i]: 1 for i in range(k) if mask >> i & 1}
-            entries.append((e, 1))
-    entries.sort(key=lambda ec: (len(ec[0]), sorted(ec[0])))
+    from .laurent import ONE, LaurentPoly, VarIndex
+
+    index = VarIndex()
+    total = submodule_sum(M, (LaurentPoly.variable(v, index) for v in M.walk), ONE)
+    entries = sorted(((dict(e), chi) for e, chi in total.sorted_terms()),
+                     key=lambda ec: (len(ec[0]), sorted(ec[0])))
     return SubmoduleClassTable(tuple(entries))
-
-
-def count_submodules(M: StringModule) -> int:
-    """Number of submodules, by a linear scan (no enumeration)."""
-    if M.is_zero:
-        return 1
-    # state: number of closed subsets of the prefix with walk[i] out / in
-    out_, in_ = 1, 1
-    for d in M.dirs:
-        if d == +1:
-            # choosing i forces i+1, so "i+1 out" admits only "i out" prefixes
-            out_, in_ = out_, out_ + in_
-        else:
-            # choosing i+1 forces i
-            out_, in_ = out_ + in_, in_
-    return out_ + in_

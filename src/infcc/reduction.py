@@ -20,17 +20,11 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from .arcs import Arc, Seg, shift, spans
-from .errors import (
-    InfiniteCrossers,
-    InvalidModule,
-    NotAMember,
-    NotLocallyFinite,
-    NotMaximal,
-    SupportMeetsU,
-)
+from .errors import (InfiniteCrossers, InvalidModule, NotAMember, NotLocallyFinite,
+                     SupportMeetsU, TooLarge)
 from .exchange import CCSession, cc
 from .laurent import LaurentPoly
-from .modules import StringModule
+from .modules import StringModule, walk_dirs
 from .triangulation import Triangulation, polygon
 
 
@@ -95,15 +89,7 @@ def pi_star(M: StringModule, U: USpec) -> StringModule:
             raise NotAMember(f"walk vertex {tuple(v)} is not an ambient member")
         if U.contains(v):
             raise SupportMeetsU(f"walk vertex {tuple(v)} lies in U")
-    from .triangulation import arrow_between
-
-    dirs = []
-    for a, b in zip(M.walk, M.walk[1:]):
-        arrow = arrow_between(U.ambient, a, b)
-        if arrow is None:
-            raise NotMaximal(f"consecutive walk vertices {tuple(a)}, {tuple(b)} share no triangle")
-        dirs.append(-arrow)
-    if tuple(dirs) != M.dirs:
+    if walk_dirs(U.ambient, M.walk) != M.dirs:
         raise InvalidModule("ambient structure maps must match the reduced ones")
     return M
 
@@ -114,20 +100,23 @@ def cc_bar(T: Triangulation, U: USpec, d: Seg,
     return cc(T, d, session).substitute_unit(U.contains)
 
 
+MAX_WINDOW_GROWTHS = 64  # widenings of cofinite_uspec_for's window, one vertex a side each
+
+
 def cofinite_uspec_for(T: Triangulation, c: Arc, simples_of: Iterable[Arc] = ()) -> USpec:
     """Grow a window around c until the perpendicularity conditions hold.
 
     Removes every member with an endpoint in the window; the result is a
     cofinite U with c in perp(shift U) and perp(shift^2 U), and each given
     representative arc additionally in perp(U).  Locally finite
-    triangulations only.
+    triangulations only; raises TooLarge after MAX_WINDOW_GROWTHS growths.
     """
     kind = T.classify().kind
     if kind != "locally_finite":
         raise NotLocallyFinite(f"a cofinite U needs a locally finite triangulation, not a {kind} one")
     reps = list(simples_of)
     lo, hi = c.m, c.n
-    for _ in range(64):
+    for _ in range(MAX_WINDOW_GROWTHS):
         pad_members = set(T.members_in_window(lo - 1, hi + 1))
         # members with an endpoint in [lo, hi] but reaching outside the window
         for v in range(lo, hi + 1):
@@ -143,4 +132,5 @@ def cofinite_uspec_for(T: Triangulation, c: Arc, simples_of: Iterable[Arc] = ())
             return U
         lo -= 1
         hi += 1
-    raise RuntimeError("window growth did not reach a perpendicular U")
+    raise TooLarge(f"{MAX_WINDOW_GROWTHS} window growths around {tuple(c)} "
+                   "did not reach a perpendicular U")

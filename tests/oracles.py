@@ -94,10 +94,10 @@ def sweep_propagate(values, targets, *, q_only, edge):
                 progress = True
 
 
-def brute_submodule_count(walk, dirs):
-    """Closed subsets of the walk, counted by explicit enumeration."""
+def brute_submodule_classes(walk, dirs):
+    """Classes {vertex: 1} of the closed subsets of the walk, by trying all 2^k masks."""
     k = len(walk)
-    count = 0
+    out = []
     for mask in range(1 << k):
         ok = True
         for i, d in enumerate(dirs):
@@ -105,8 +105,9 @@ def brute_submodule_count(walk, dirs):
             if mask >> src & 1 and not mask >> dst & 1:
                 ok = False
                 break
-        count += ok
-    return count
+        if ok:
+            out.append({walk[i]: 1 for i in range(k) if mask >> i & 1})
+    return out
 
 
 def brute_noncrossing_maximal(diagonals, lo, hi):

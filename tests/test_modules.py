@@ -1,8 +1,11 @@
 import random
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infcc.arcs import Arc, Edge
 from infcc.cc_direct import cc_direct
@@ -18,7 +21,7 @@ from infcc.triangulation import (
     random_polygon_triangulation,
 )
 
-from tests.oracles import brute_submodule_count
+from tests.oracles import brute_submodule_classes
 from tests.subproc import src_env
 
 PENT = polygon(0, 4, [(0, 2), (0, 3)])
@@ -55,15 +58,32 @@ def test_submodule_classes_examples():
     assert submodule_classes(fence).size == 5
 
 
+def _multiset(classes):
+    return sorted(tuple(sorted(e.items())) for e in classes)
+
+
+def _check_against_enumeration(M):
+    brute = brute_submodule_classes(M.walk, M.dirs)
+    table = submodule_classes(M)
+    assert count_submodules(M) == table.size == len(brute)
+    assert table.class_multiset() == _multiset(brute)
+    assert all(chi == 1 for _, chi in table.entries)
+
+
 def test_count_matches_enumeration():
     rng = random.Random(13)
     verts = [Arc(i, i + 2) for i in range(12)]
     for _ in range(60):
         k = rng.randint(0, 9)
         dirs = tuple(rng.choice((1, -1)) for _ in range(max(k - 1, 0)))
-        M = StringModule(tuple(verts[:k]), dirs)
-        assert count_submodules(M) == brute_submodule_count(M.walk, M.dirs)
-        assert count_submodules(M) == submodule_classes(M).size
+        _check_against_enumeration(StringModule(tuple(verts[:k]), dirs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from((1, -1)), max_size=11), st.booleans())
+def test_transfer_matches_enumeration_on_random_strings(dirs, empty):
+    walk = () if empty and not dirs else tuple(Arc(0, n) for n in range(2, len(dirs) + 3))
+    _check_against_enumeration(StringModule(walk, tuple(dirs) if walk else ()))
 
 
 def test_cc_direct_examples():
@@ -90,6 +110,14 @@ def test_cc_direct_matches_exchange_random_larger():
         P = polygon(0, hi, sorted(random_polygon_triangulation(0, hi, rng)))
         for c in polygon_diagonals(0, hi):
             assert cc_direct(P, c) == cc(P, c), c
+
+
+def test_cc_direct_matches_exchange_on_larger_polygons():
+    rng = random.Random(10)
+    for hi in (9, 10, 11, 12):
+        P = polygon(0, hi, sorted(random_polygon_triangulation(0, hi, rng)))
+        for c in polygon_diagonals(0, hi):
+            assert cc_direct(P, c) == cc(P, c), (hi, c)
 
 
 def test_value_at_one_counts_submodules():
@@ -136,18 +164,31 @@ def test_malformed_string_modules_are_refused():
         StringModule((Arc(0, 2), Arc(0, 2)), (1,))
 
 
-def test_walk_cap_survives_optimized_mode():
-    # python -O strips asserts; past the cap the enumeration is 2^25 masks
+def test_long_chain_has_a_class_per_suffix():
+    # a 40-vertex chain with every map pointing right: the submodules are
+    # its 41 suffixes, far past what a 2^k enumeration can list
     code = """
 from infcc.arcs import Arc
-from infcc.errors import TooLarge
-from infcc.modules import MAX_SUBMODULE_WALK, StringModule, submodule_classes
-k = MAX_SUBMODULE_WALK + 1
-try:
-    submodule_classes(StringModule(tuple(Arc(0, n) for n in range(2, k + 2)), (1,) * (k - 1)))
-except TooLarge:
-    print("refused")
+from infcc.modules import StringModule, count_submodules, submodule_classes
+M = StringModule(tuple(Arc(0, n) for n in range(2, 42)), (1,) * 39)
+table = submodule_classes(M)
+suffixes = [{v: 1 for v in M.walk[i:]} for i in range(40, -1, -1)]
+ok = count_submodules(M) == table.size == 41 and [e for e, _ in table.entries] == suffixes
+ok = ok and all(chi == 1 for _, chi in table.entries)
+print(ok)
 """
+    scope = {}
+    exec(code, scope)
+    assert scope["ok"]
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           env=src_env(), timeout=60)
-    assert proc.returncode == 0 and proc.stdout.strip() == "refused", proc.stderr
+    assert proc.returncode == 0 and proc.stdout.strip() == "True", proc.stderr
+
+
+def test_cc_direct_refuses_what_cc_refuses():
+    P = polygon(0, 5, [(0, 2), (0, 3), (0, 4)])
+    for bad in (Arc(3, 0), Arc(0, 1), Arc(2, 2)):
+        message = re.escape(f"({bad.m},{bad.n}) is not an arc: need m <= n-2")
+        for route in (cc, cc_direct):
+            with pytest.raises(ValueError, match=message):
+                route(P, bad)

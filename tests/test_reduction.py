@@ -3,11 +3,12 @@ import random
 import pytest
 
 from infcc.arcs import Arc
-from infcc.errors import InvalidModule, NotAMember, NotLocallyFinite, SupportMeetsU
+from infcc.errors import InvalidModule, NotAMember, NotLocallyFinite, SupportMeetsU, TooLarge
 from infcc.exchange import CCSession, cc
 from infcc.laurent import ONE, LaurentPoly
 from infcc.modules import StringModule, g_module, submodule_classes
 from infcc.reduction import (
+    MAX_WINDOW_GROWTHS,
     cc_bar,
     cofinite_uspec_for,
     perp,
@@ -148,3 +149,9 @@ def test_cofinite_uspec_conditions():
         assert all(not U.contains(a) for a in p.variables())
     with pytest.raises(NotLocallyFinite):
         cofinite_uspec_for(fountain(0), Arc(-3, -1))
+
+
+def test_window_growth_limit_is_typed():
+    # a representative far from c is never perpendicular to a window around c
+    with pytest.raises(TooLarge, match=f"{MAX_WINDOW_GROWTHS} window growths"):
+        cofinite_uspec_for(nested_zigzag(0), Arc(0, 3), [Arc(1000, 1003)])
