@@ -20,9 +20,10 @@ on ``nested_zigzag(0)`` and always on a freshly built triangulation value
   and 64, divided by its cell count;
 * ``recurrence_ms_h<H>``: ``recurrence_window`` on [-H, H], H = 16 and 20
   (the half-widths of the perfbench tiling workload);
-* ``try_cell_per_cell_h<H>``: ``_try_cell`` calls per target cell of
-  ``extend_frontier(Frontier("RRUURRRUUR"), (-H, -H, H, H))``, H = 8, 16, 32
-  and 48 (a count, the same in every round).
+* ``frontier_us_per_cell_h<H>``: ``extend_frontier(Frontier("RRUURRRUUR"),
+  (-H, -H, H, H))``, H = 8, 16, 32 and 48, divided by its cell count;
+* ``frontier_ms_off100``: ``extend_frontier(Frontier("RU"), (100, 100, 102,
+  102))``, nine cells about 100 rows and columns off the path.
 
 A figure is the median of its repetitions inside the child, and the
 reported figure is the median over rounds.  Ratios are baseline / change.
@@ -81,7 +82,6 @@ def _arc_crossing(Z, k):
 
 def measure() -> dict:
     """Figures for the infcc found on sys.path."""
-    from infcc import tilings
     from infcc.tilings import Frontier, extend_frontier, recurrence_window, tiling_window
     from infcc.triangulation import nested_zigzag
 
@@ -100,22 +100,12 @@ def measure() -> dict:
         out[f"tiling_us_per_cell_h{h}"] = 1e6 * _time(fresh, lambda T, h=h: tiling_window(T, -h, h)) / cells
     for h in RECURRENCE_HALF_WIDTHS:
         out[f"recurrence_ms_h{h}"] = 1e3 * _time(fresh, lambda T, h=h: recurrence_window(T, -h, h))
-
-    calls = [0]
-    try_cell = tilings._try_cell
-
-    def counting(*args):
-        calls[0] += 1
-        return try_cell(*args)
-
-    tilings._try_cell = counting
-    try:
-        for h in FRONTIER_HALF_WIDTHS:
-            calls[0] = 0
-            W = extend_frontier(Frontier("RRUURRRUUR"), (-h, -h, h, h))
-            out[f"try_cell_per_cell_h{h}"] = calls[0] / len(W.values)
-    finally:
-        tilings._try_cell = try_cell
+    for h in FRONTIER_HALF_WIDTHS:
+        cells = (2 * h + 1) ** 2
+        out[f"frontier_us_per_cell_h{h}"] = 1e6 * _time(
+            lambda: Frontier("RRUURRRUUR"), lambda F, h=h: extend_frontier(F, (-h, -h, h, h))) / cells
+    out["frontier_ms_off100"] = 1e3 * _time(
+        lambda: Frontier("RU"), lambda F: extend_frontier(F, (100, 100, 102, 102)))
     return out
 
 
@@ -150,8 +140,7 @@ def main(argv=None) -> int:
         },
         "python": platform.python_version(),
         "family": "nested_zigzag(0), a fresh value per timed call",
-        "units": {k: ("count" if k.startswith("try_cell") else
-                      "ms" if "_ms_" in k else "us") for k in next(iter(figures.values()))},
+        "units": {k: "ms" if "_ms_" in k else "us" for k in next(iter(figures.values()))},
         "rounds": ROUNDS,
         "figures": figures,
         "samples": samples,

@@ -197,6 +197,19 @@ WINDOW_FORMATS = ("text", "ascii", "csv", "json")  # text is ascii
 
 
 def _print_window(W, fmt: str) -> None:
+    """Print W.  Its entries are exact integers of any length, so Python's
+    int-to-str digit limit (3.10.7 on) is lifted while they are formatted."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        _write_window(W, fmt)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _write_window(W, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps([[i, j, v] for (i, j), v in sorted(W.values.items())]))
         return

@@ -156,20 +156,6 @@ def coindex(P: Triangulation, c: Seg) -> SplitK0Class:
     return _class_of(socle) - _class_of(tops)
 
 
-def index_sum(P: Triangulation, objects: Iterable[Seg]) -> SplitK0Class:
-    out = SplitK0Class()
-    for c in objects:
-        out = out + index(P, c)
-    return out
-
-
-def coindex_sum(P: Triangulation, objects: Iterable[Seg]) -> SplitK0Class:
-    out = SplitK0Class()
-    for c in objects:
-        out = out + coindex(P, c)
-    return out
-
-
 def kappa_embed(e: SplitK0Class, u_contains) -> SplitK0Class:
     """Include a class of the reduced model into the ambient split group.
 

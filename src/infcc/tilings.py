@@ -17,10 +17,11 @@ relations act as a cross-check instead of an error-compounding generator.
 A frontier is a bi-infinite staircase path of 1's: it reads a U/R word
 from its origin and alternates strictly beyond it in both directions.  The
 origin is (anchor, anchor + 2) on the bottom row of Q, or any cell given as
-`start=`.  `extend_frontier` propagates the 2x2 relation away from the path
-on both sides, and `frontier_to_triangulation` is the staircase family that
-starts at the path's bottom-row point.  Steps use matrix orientation: 'U'
-moves up a row (i - 1), 'R' moves right a column (j + 1).
+`start=`.  Steps use matrix orientation: 'U' moves up a row (i - 1), 'R'
+moves right a column (j + 1).  `extend_frontier` reads the full-plane
+tiling off one walk along the path, r(i, j) = det(u_i, v_j)
+(Bessenrodt-Holm-Jorgensen, Adv. Math. 2017), and `frontier_to_triangulation`
+is the staircase family that starts at the path's bottom-row point.
 """
 
 from __future__ import annotations
@@ -97,15 +98,9 @@ def recurrence_window(T: Triangulation, lo: int, hi: int, pad: int = 3,
     cls = T.classify()
     if cls.kind == "fountain":
         raise NotLocallyFinite(f"fountain at {cls.fountain}")
-    values: Dict[Cell, int] = {
-        (a.m, a.n): 1 for a in T.members_in_window(lo - pad, hi + pad)
-    }
-    targets = {
-        (i, j)
-        for i in range(lo - pad, hi + pad - 1)
-        for j in range(i + 2, hi + pad + 1)
-    }
-    _propagate(values, targets, q_only=True, edge=True)
+    values: Dict[Cell, int] = {(a.m, a.n): 1 for a in T.members_in_window(lo - pad, hi + pad)}
+    targets = {(i, j) for i in range(lo - pad, hi + pad - 1) for j in range(i + 2, hi + pad + 1)}
+    _propagate(values, targets, edge=True)
     missing = [p for p in targets if p not in values and lo <= p[0] and p[1] <= hi]
     if strict and missing:
         raise ExactnessFailure(f"undetermined cells {missing[:4]} (window too small?)")
@@ -113,7 +108,12 @@ def recurrence_window(T: Triangulation, lo: int, hi: int, pad: int = 3,
 
 
 def verify_sl2(W: TilingWindow) -> List[Violation]:
-    """All violated determinant relations on the window; empty means valid."""
+    """All violated determinant relations on the window; empty means valid.
+
+    On an `extend_frontier` window the 2x2 relations hold by construction
+    (Plucker), so there this proves nothing: that route's independent
+    checks are `q_overlap_fill` (criterion 8) and the tests' plane oracle.
+    """
     r = W.values
     out = []
     for (i, j) in sorted(r):
@@ -193,11 +193,11 @@ def _div_positive(num: int, den: int, cell: Cell) -> int:
     return num // den
 
 
-def _propagate(values: Dict[Cell, int], targets: set, *, q_only: bool, edge: bool) -> None:
+def _propagate(values: Dict[Cell, int], targets: set, *, edge: bool) -> None:
     """Fill target cells by the determinant relations until a fixpoint.
 
-    q_only restricts the 2x2 relation to squares lying inside the half
-    plane; `edge` additionally uses the boundary-row relation
+    The 2x2 relation is used on squares lying inside the half plane;
+    `edge` additionally uses the boundary-row relation
     r(i,i+2) r(i+1,i+3) - r(i,i+3) = 1.  A worklist: every pending cell is
     tried once in sorted order, and again only after one of its eight
     neighbours (the cells its relations read) has been solved.
@@ -208,7 +208,7 @@ def _propagate(values: Dict[Cell, int], targets: set, *, q_only: bool, edge: boo
     while queue:
         cell = queue.popleft()
         queued.discard(cell)
-        v = _try_cell(values, cell, q_only, edge)
+        v = _try_cell(values, cell, edge)
         if v is None:
             continue
         values[cell] = v
@@ -221,11 +221,11 @@ def _propagate(values: Dict[Cell, int], targets: set, *, q_only: bool, edge: boo
                 queue.append(nb)
 
 
-def _try_cell(r: Dict[Cell, int], cell: Cell, q_only: bool, edge: bool) -> Optional[int]:
+def _try_cell(r: Dict[Cell, int], cell: Cell, edge: bool) -> Optional[int]:
     i, j = cell
     for a, b in ((i, j), (i - 1, j), (i, j - 1), (i - 1, j - 1)):
         square = [(a, b), (a, b + 1), (a + 1, b), (a + 1, b + 1)]
-        if q_only and not all(_in_q(p) for p in square):
+        if not all(_in_q(p) for p in square):
             continue
         if all(p in r for p in square if p != cell):
             return _solve_square(r, a, b, cell)
@@ -241,28 +241,36 @@ def _try_cell(r: Dict[Cell, int], cell: Cell, q_only: bool, edge: bool) -> Optio
 
 
 def extend_frontier(F: Frontier, bbox: Tuple[int, int, int, int]) -> TilingWindow:
-    """Extend the frontier's 1's to a full-plane window over bbox.
+    """The full-plane tiling through the frontier's 1's, over bbox (i_lo, j_lo, i_hi, j_hi).
 
-    bbox is (i_lo, j_lo, i_hi, j_hi).  Every division must be exact and
-    every value positive; a failure falsifies admissibility and raises.
+    One walk along the path from u = (1, 0), v = (0, 1): a 'U' step sets
+    u <- u - v and an 'R' step v <- v - u, so det(u, v) = 1 on the path.
+    With u_i the u of row i and v_j the v of column j, r(i, j) = det(u_i, v_j);
+    only the bbox's rows and columns are kept.  A value that is not positive
+    falsifies admissibility and raises ExactnessFailure.
     """
     i_lo, j_lo, i_hi, j_hi = bbox
     if i_lo > i_hi or j_lo > j_hi:
         raise ValueError("empty bbox")
-    values: Dict[Cell, int] = {p: 1 for p in F.points_covering(i_lo, j_lo, i_hi, j_hi)}
-    # fill the whole rectangle spanned by the bbox and the generated path:
-    # determination chains may route just outside the requested bbox
-    a_lo = min(i_lo, min(p[0] for p in values))
-    a_hi = max(i_hi, max(p[0] for p in values))
-    b_lo = min(j_lo, min(p[1] for p in values))
-    b_hi = max(j_hi, max(p[1] for p in values))
-    work = {(i, j) for i in range(a_lo, a_hi + 1) for j in range(b_lo, b_hi + 1)}
-    _propagate(values, work, q_only=False, edge=False)
-    targets = {(i, j) for i in range(i_lo, i_hi + 1) for j in range(j_lo, j_hi + 1)}
-    missing = targets - set(values)
-    if missing:
-        raise ExactnessFailure(f"could not determine cells {sorted(missing)[:4]}...")
-    return TilingWindow("plane", {p: v for p, v in values.items() if p in targets})
+    pts = F.points_covering(i_lo, j_lo, i_hi, j_hi)
+    (i, j), (a, b), (c, d) = pts[0], (1, 0), (0, 1)
+    rows, cols = {}, {}
+    for p in pts:
+        if p[0] < i:
+            a, b = a - c, b - d
+        elif p[1] > j:
+            c, d = c - a, d - b
+        i, j = p
+        if i_lo <= i <= i_hi:
+            rows[i] = (a, b)
+        if j_lo <= j <= j_hi:
+            cols[j] = (c, d)
+    values = {(i, j): rows[i][0] * cols[j][1] - rows[i][1] * cols[j][0]
+              for i in range(i_lo, i_hi + 1) for j in range(j_lo, j_hi + 1)}
+    bad = [p for p, r in values.items() if r <= 0]
+    if bad:
+        raise ExactnessFailure(f"cells {bad[:4]}: the determinant is not positive")
+    return TilingWindow("plane", values)
 
 
 def q_overlap_fill(F: Frontier, lo: int, hi: int) -> Dict[Cell, int]:
@@ -275,7 +283,7 @@ def q_overlap_fill(F: Frontier, lo: int, hi: int) -> Dict[Cell, int]:
     pts = [p for p in F.points_covering(lo, lo, hi, hi) if _in_q(p)]
     values: Dict[Cell, int] = {p: 1 for p in pts}
     targets = {(i, j) for i in range(lo, hi - 1) for j in range(i + 2, hi + 1)}
-    _propagate(values, targets, q_only=True, edge=False)
+    _propagate(values, targets, edge=False)
     return {p: v for p, v in values.items() if p in targets}
 
 

@@ -77,7 +77,7 @@ def cycle_arrow(T, a, b):
     return None
 
 
-def sweep_propagate(values, targets, *, q_only, edge):
+def sweep_propagate(values, targets, *, edge):
     """Fill target cells by sweeps: retry every pending cell, in sorted
     order, until a sweep solves nothing."""
     from infcc.tilings import _try_cell
@@ -87,7 +87,7 @@ def sweep_propagate(values, targets, *, q_only, edge):
     while pending and progress:
         progress = False
         for cell in sorted(pending):
-            v = _try_cell(values, cell, q_only, edge)
+            v = _try_cell(values, cell, edge)
             if v is not None:
                 values[cell] = v
                 pending.discard(cell)
@@ -166,6 +166,63 @@ def frontier_walk(origin, word, lo, hi):
         i, j = (i + 1, j) if ch == "U" else (i, j - 1)
         out[k] = (i, j)
     return out
+
+
+def walk_covering(origin, word, i_lo, j_lo, i_hi, j_hi):
+    """Frontier path points around a rectangle, walked letter by letter.
+
+    From the last point before the origin with i > i_hi + 1 and j < j_lo - 1
+    to the first point from the origin on with i < i_lo - 1 and j > j_hi + 1.
+    """
+    reach = len(word) + 2 * sum(map(abs, (*origin, i_lo, j_lo, i_hi, j_hi))) + 8
+    walk = frontier_walk(origin, word, -reach, reach)
+    start = next(k for k in range(-1, -reach - 1, -1)
+                 if walk[k][0] > i_hi + 1 and walk[k][1] < j_lo - 1)
+    end = next(k for k in range(reach + 1) if walk[k][0] < i_lo - 1 and walk[k][1] > j_hi + 1)
+    return [walk[k] for k in range(start, end + 1)]
+
+
+def _plane_cell(r, cell):
+    """The value at cell forced by one of its four squares whose other three
+    cells are known, by r(a,b) r(a+1,b+1) - r(a,b+1) r(a+1,b) = 1; else None."""
+    i, j = cell
+    for a, b in ((i, j), (i - 1, j), (i, j - 1), (i - 1, j - 1)):
+        diag, anti = ((a, b), (a + 1, b + 1)), ((a, b + 1), (a + 1, b))
+        same, cross = (diag, anti) if cell in diag else (anti, diag)
+        partner = same[1] if same[0] == cell else same[0]
+        if partner in r and cross[0] in r and cross[1] in r:
+            num = r[cross[0]] * r[cross[1]] + (1 if same is diag else -1)
+            if num % r[partner] or num // r[partner] <= 0:
+                raise ArithmeticError(f"cell {cell}: {num}/{r[partner]} is not a positive integer")
+            return num // r[partner]
+    return None
+
+
+def plane_fill(origin, word, bbox):
+    """Full-plane tiling over bbox through a frontier's 1's, by sweeps.
+
+    Seeds 1 on the path around bbox (`walk_covering`) and sweeps the whole
+    rectangle spanned by bbox and that path, since determination chains
+    may route outside bbox; sweeps alternate between increasing and
+    decreasing order until one solves nothing.  Returns the determined
+    cells of bbox.
+    """
+    i_lo, j_lo, i_hi, j_hi = bbox
+    r = {p: 1 for p in walk_covering(origin, word, *bbox)}
+    rows, cols = [i_lo, i_hi, *(p[0] for p in r)], [j_lo, j_hi, *(p[1] for p in r)]
+    pending = [(i, j) for i in range(min(rows), max(rows) + 1) for j in range(min(cols), max(cols) + 1)
+               if (i, j) not in r]
+    progress = True
+    while pending and progress:
+        progress = False
+        for cell in pending:
+            v = _plane_cell(r, cell)
+            if v is not None:
+                r[cell] = v
+                progress = True
+        pending = [p for p in reversed(pending) if p not in r]
+    return {(i, j): r[(i, j)] for i in range(i_lo, i_hi + 1) for j in range(j_lo, j_hi + 1)
+            if (i, j) in r}
 
 
 class NaiveLaurent:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import resource
 import subprocess
 import sys
 
@@ -6,6 +8,7 @@ import pytest
 
 from infcc.arcs import Arc
 from infcc.cli import main, parse_triangulation
+from infcc.tilings import Frontier, extend_frontier
 from infcc.triangulation import nested_zigzag
 
 from tests.subproc import src_env
@@ -121,6 +124,67 @@ def test_frontier(capsys):
     assert code == 0
     cells = {(i, j): v for i, j, v in json.loads(out)}
     assert cells[(0, 2)] == 1 and cells[(-3, 3)] == 5
+
+
+# sha1 of `frontier` stdout per argv and format; the last bbox lies about
+# 20 rows and columns off the path
+FRONTIER_PINS = {
+    ("--word", "RURU", "--bbox", "-3,-3,3,3"): {
+        "text": "56a71302afe5663a5134035ae584c0426bc674e5",
+        "ascii": "56a71302afe5663a5134035ae584c0426bc674e5",
+        "csv": "884d8b5e56c4ececbaf8831a8dd8cd81cc3e0505",
+        "json": "a9cc8f86b0baf85ed2376b3aca1f195fc5f1d3b3",
+    },
+    ("--word", "RRUURRRUUR", "--anchor", "2", "--bbox", "-6,-4,5,8"): {
+        "text": "bd4d80f2617a615ce6f751f7184f2dc77f31435f",
+        "ascii": "bd4d80f2617a615ce6f751f7184f2dc77f31435f",
+        "csv": "be195934bc5cee3307c708b804160969a9901b4d",
+        "json": "f69f0063b4384e8a292eec8e86291701a4862d49",
+    },
+    ("--word", "UUR", "--anchor", "-1", "--bbox", "18,20,22,25"): {
+        "text": "a3aef5539d36f14f31170852677e377d28156968",
+        "ascii": "a3aef5539d36f14f31170852677e377d28156968",
+        "csv": "4d7ec8b25ff58c31e446b01a7cc41903e214a574",
+        "json": "0193e5b2a7699f9a3eee1f2df1ae9845733190f5",
+    },
+}
+
+
+@pytest.mark.parametrize("argv, fmt", [(argv, fmt) for argv in FRONTIER_PINS for fmt in FRONTIER_PINS[argv]])
+def test_frontier_output_is_pinned(capsys, argv, fmt):
+    code, out, _ = run(capsys, "frontier", *argv, "--format", fmt)
+    assert code == 0 and hashlib.sha1(out.encode()).hexdigest() == FRONTIER_PINS[argv][fmt]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+def test_frontier_far_from_the_path_prints_exact_digits():
+    # values with 8,360 and 83,596 digits, past Python's default int-to-str
+    # limit of 4,300; the walk keeps only the vectors of the bbox, so 1.5 GB
+    # of address space is plenty
+    fars = (10_000, 100_000)
+    procs = [subprocess.Popen([sys.executable, "-m", "infcc.cli", "frontier", "--word", "RU",
+                               "--bbox", f"{far},{far},{far + 2},{far + 2}", "--format", "csv"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=src_env(), preexec_fn=_limit_address_space)
+             for far in fars]
+    windows = [extend_frontier(Frontier("RU"), (far, far, far + 2, far + 2)) for far in fars]
+    limit = sys.get_int_max_str_digits()
+    for far, proc, W in zip(fars, procs, windows):
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0 and err == "", err[-500:]
+        sys.set_int_max_str_digits(0)
+        try:
+            want = {(i, j): str(v) for (i, j), v in W.values.items()}
+        finally:
+            sys.set_int_max_str_digits(limit)
+        got = {}
+        for line in out.splitlines()[1:]:
+            j, *row = line.split(",")
+            got.update({(far + k, int(j)): digits for k, digits in enumerate(row)})
+        assert got == want and len(want[(far, far)]) > 4300
 
 
 def test_verify_small(capsys):

@@ -74,14 +74,6 @@ def test_theta_identity_exhaustive():
                 assert theta(P, e) == coindex(P, sd) - index(P, sd), (sorted(diag), d)
 
 
-def test_index_coindex_additivity():
-    from infcc.ktheory import coindex_sum, index_sum
-
-    objs = [Arc(1, 3), Arc(2, 4), Edge(0)]
-    assert index_sum(PENT, objs) == index(PENT, Arc(1, 3)) + index(PENT, Arc(2, 4))
-    assert coindex_sum(PENT, objs) == coindex(PENT, Arc(1, 3)) + coindex(PENT, Arc(2, 4))
-
-
 def test_kappa_embed():
     T = polygon(0, 6, [(0, 2), (2, 4), (0, 4), (4, 6)])
     U = u_of(T, Arc(0, 4))

@@ -21,7 +21,7 @@ from infcc.tilings import (
 )
 from infcc.triangulation import fountain, nested_zigzag, path_letter, path_point, staircase
 
-from tests.oracles import frontier_walk, sweep_propagate
+from tests.oracles import frontier_walk, plane_fill, sweep_propagate, walk_covering
 
 
 def test_spot_values():
@@ -164,21 +164,13 @@ def test_path_point_and_letter_match_walk(word, spec):
         assert q[1] - q[0] == p[1] - p[0] + 1
 
 
-def _walk_covering(F, i_lo, j_lo, i_hi, j_hi):
-    walk = frontier_walk(F.origin, F.word, -80, 80)
-    start = next(k for k in range(-1, -81, -1)
-                 if walk[k][0] > i_hi + 1 and walk[k][1] < j_lo - 1)
-    end = next(k for k in range(81) if walk[k][0] < i_lo - 1 and walk[k][1] > j_hi + 1)
-    return [walk[k] for k in range(start, end + 1)]
-
-
 @settings(max_examples=80, deadline=None)
 @given(WORDS, ORIGINS, st.lists(st.integers(-12, 12), min_size=4, max_size=4))
 def test_points_covering_matches_walk(word, spec, corners):
     F = Frontier(word, **spec)
     i_lo, i_hi = sorted(corners[:2])
     j_lo, j_hi = sorted(corners[2:])
-    assert F.points_covering(i_lo, j_lo, i_hi, j_hi) == _walk_covering(F, i_lo, j_lo, i_hi, j_hi)
+    assert F.points_covering(i_lo, j_lo, i_hi, j_hi) == walk_covering(F.origin, word, i_lo, j_lo, i_hi, j_hi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,6 +210,29 @@ def test_frontier_deep_inside_q():
 
 
 # ---------------------------------------------------------------------------
+# the determinant walk against the sweep oracle
+
+
+@settings(max_examples=80, deadline=None)
+@given(WORDS, ORIGINS, st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+       st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_walk_matches_plane_oracle(word, spec, offset, size):
+    # bboxes on the path and up to 30 rows and columns off it, on both sides
+    F = Frontier(word, **spec)
+    i, j = F.origin[0] + offset[0], F.origin[1] + offset[1]
+    bbox = (i, j, i + size[0], j + size[1])
+    assert extend_frontier(F, bbox).values == plane_fill(F.origin, word, bbox)
+
+
+def test_walk_neither_propagates_nor_divides():
+    with mock.patch.object(tilings, "_propagate", side_effect=AssertionError), \
+            mock.patch.object(tilings, "_try_cell", side_effect=AssertionError), \
+            mock.patch.object(tilings, "_solve_square", side_effect=AssertionError):
+        W = extend_frontier(Frontier("RRUURRRUUR"), (-32, -32, 32, 32))
+    assert len(W.values) == 65 * 65
+
+
+# ---------------------------------------------------------------------------
 # the worklist propagation against the sweep loop
 
 
@@ -238,9 +253,6 @@ def _with_sweeps(fn, *args, **kwargs):
 @given(WORDS, ORIGINS, st.integers(3, 9))
 def test_worklist_matches_sweeps_on_frontiers(word, spec, span):
     F = Frontier(word, **spec)
-    i, j = F.origin
-    bbox = (i - span, j - span, i + span, j + span)
-    assert _outcome(extend_frontier, F, bbox) == _with_sweeps(extend_frontier, F, bbox)
     assert _outcome(q_overlap_fill, F, -span, span) == _with_sweeps(q_overlap_fill, F, -span, span)
 
 
@@ -268,6 +280,8 @@ def test_worklist_tries_each_cell_at_most_nine_times():
 
     with mock.patch.object(tilings, "_try_cell", counting), \
             mock.patch.object(tilings, "_propagate", recording):
-        extend_frontier(Frontier("RRUURRRUUR"), (-32, -32, 32, 32))
+        q_overlap_fill(Frontier("RRUURRRUUR"), -32, 32)
+        recurrence_window(nested_zigzag(0), -16, 16)
     # once in the first pass, and once after each of its 8 neighbours is solved
+    assert len(pending) == 2
     assert 0 < len(calls) <= 9 * sum(pending)
