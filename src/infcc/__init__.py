@@ -20,9 +20,11 @@ __version__ = "1.0.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "arcs": ("Arc", "Edge", "arc", "crosses", "seg", "shift", "spans"),
-    "errors": ("ExactnessFailure", "FlipTargetNotMember", "InfccError", "InfiniteCrossers",
-               "NonAdmissibleFrontier", "NotAMember", "NotLocallyFinite", "SupportMeetsU",
-               "Unreachable", "UnknownFamily"),
+    "errors": ("ExactnessFailure", "ExponentOverflow", "FlipTargetNotMember", "InfccError",
+               "InfiniteCrossers", "InvalidArc", "InvalidModule", "InvalidSpec",
+               "NonAdmissibleFrontier", "NotAMember", "NotAPolygon", "NotLocallyFinite",
+               "NotMaximal", "SupportMeetsU", "TooLarge", "Unreachable", "UnknownFamily",
+               "WrongFamily"),
     "exchange": ("CCSession", "ReachabilityVerdict", "cc", "cc_multiset", "is_reachable"),
     "laurent": ("LaurentPoly", "format_fraction"),
     "cc_direct": ("cc_direct",),
@@ -32,7 +34,7 @@ _EXPORTS = {
     "reduction": ("ReducedModel", "USpec", "cc_bar", "perp", "pi_star", "reduce", "u_of"),
     "tilings": ("Frontier", "TilingWindow", "extend_frontier", "frontier_to_triangulation",
                 "q_overlap_fill", "tiling_window", "verify_sl2"),
-    "triangulation": ("Classification", "Diagnosis", "FlipResult", "Quiver", "Triangulation",
+    "triangulation": ("Diagnosis", "FlipResult", "Quiver", "Triangulation",
                       "all_polygon_triangulations", "build", "fountain", "nested_zigzag",
                       "polygon", "polygon_diagonals", "random_polygon_triangulation",
                       "staircase"),
@@ -40,9 +42,9 @@ _EXPORTS = {
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "verify"}
 
-# What `from infcc import *` bound when this file imported every submodule:
-# the public names, and the submodules that are not shadowed by a name
-# (`cc_direct` is the function).  `cli` and `verify` were never bound.
+# What `from infcc import *` binds: the public names, and the submodules
+# that are not shadowed by a name (`cc_direct` is the function).  `cli` and
+# `verify` load on first use only.
 __all__ = sorted(_ORIGIN.keys() | (_EXPORTS.keys() - _ORIGIN.keys()))
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Union
 
+from .errors import InvalidArc
+
 
 class Arc(NamedTuple):
     m: int
@@ -29,21 +31,17 @@ class Edge(NamedTuple):
 Seg = Union[Arc, Edge]
 
 
-def is_arc_pair(m: int, n: int) -> bool:
-    return m <= n - 2
-
-
 def arc(m: int, n: int) -> Arc:
-    """Validated arc constructor; requires m <= n - 2."""
-    if not is_arc_pair(m, n):
-        raise ValueError(f"({m},{n}) is not an arc: need m <= n-2")
+    """Validated arc constructor; raises InvalidArc unless m <= n - 2."""
+    if m > n - 2:
+        raise InvalidArc(f"({m},{n}) is not an arc: need m <= n-2")
     return Arc(m, n)
 
 
 def seg(a: int, b: int) -> Seg:
-    """Arc or Edge on the ordered pair a < b."""
+    """Arc or Edge on the ordered pair a < b; raises InvalidArc unless a < b."""
     if b <= a:
-        raise ValueError(f"segment endpoints must be increasing, got ({a},{b})")
+        raise InvalidArc(f"segment endpoints must be increasing, got ({a},{b})")
     if b == a + 1:
         return Edge(a)
     return Arc(a, b)

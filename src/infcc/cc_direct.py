@@ -16,7 +16,7 @@ once, so the two implementations cross-check each other exactly.
 
 from __future__ import annotations
 
-from .arcs import Arc, Seg, arc
+from .arcs import Seg
 from .ktheory import coindex, theta_simple
 from .laurent import ONE, LaurentPoly, VarIndex
 from .modules import g_module, submodule_sum
@@ -24,14 +24,12 @@ from .triangulation import Triangulation
 
 
 def cc_direct(P: Triangulation, c: Seg) -> LaurentPoly:
-    """Laurent polynomial of c assembled from its submodule transfer."""
-    if isinstance(c, Arc):
-        arc(*c)
-    if not P.is_polygon:
-        raise ValueError("the direct formula is implemented on polygon models only")
-    lo, hi = P.base.lo, P.base.hi
-    if isinstance(c, Arc) and not (lo <= c.m and c.n <= hi):
-        raise ValueError(f"{tuple(c)} lies outside the polygon {{{lo}..{hi}}}")
+    """Laurent polynomial of c assembled from its submodule transfer.
+
+    Raises NotAPolygon off the polygon models, and InvalidArc (from
+    `crossers`) on an arc off the polygon.
+    """
+    P.require_polygon("cc_direct")
     index = VarIndex()
     M = g_module(P, c)
     ys = (LaurentPoly.monomial(theta_simple(P, v).coeffs, index) for v in M.walk)

@@ -18,7 +18,6 @@ from .arcs import Arc, Edge, arc
 from .errors import (
     InfccError,
     InfiniteCrossers,
-    NonAdmissibleFrontier,
     NotLocallyFinite,
     Unreachable,
 )
@@ -317,7 +316,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")
         return 1
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError) as e:
         sys.stderr.write(f"usage error: {e}\n")
         return 1
     except Unreachable as e:
@@ -328,9 +327,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except InfiniteCrossers as e:
         sys.stderr.write(json.dumps({"infinite_crossers": {"fountain": e.fountain}}) + "\n")
-        return 2
-    except NonAdmissibleFrontier as e:
-        sys.stderr.write(json.dumps({"non_admissible_frontier": str(e)}) + "\n")
         return 2
     except InfccError as e:
         sys.stderr.write(f"error: {e}\n")

@@ -18,7 +18,16 @@ class InvalidSpec(InfccError, ValueError):
     """A triangulation spec is not an object of the documented shape."""
 
 
-class NotAPolygon(InfccError, ValueError):
+class InvalidArc(InfccError, ValueError):
+    """A pair (m, n) is not an arc of the model: m > n - 2, or an end lies
+    off a polygon's frame."""
+
+
+class WrongFamily(InfccError, ValueError):
+    """Operation defined on another base family than the triangulation's."""
+
+
+class NotAPolygon(WrongFamily):
     """Operation defined on finite polygon models only."""
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from .arcs import Arc, Edge, Seg, arc, crosses, seg
+from .arcs import Arc, Seg, crosses, seg
 from .errors import NotMaximal, Unreachable
 from .laurent import ONE, LaurentPoly, VarIndex
 from .triangulation import Triangulation, crossing_order
@@ -39,10 +39,9 @@ def is_reachable(T: Triangulation, d: Arc) -> ReachabilityVerdict:
     reaches exactly the arcs on one side of n: q <= n (e_minus) or p >= n
     (e_plus); arcs straddling n cross infinitely many members and are out.
     """
-    cls = T.classify()
-    if cls.kind != "fountain":
+    n = T.base.fountain
+    if n is None:
         return ReachabilityVerdict(True, "all")
-    n = cls.fountain
     if d.n <= n:
         return ReachabilityVerdict(True, "e_minus", n)
     if d.m >= n:
@@ -70,19 +69,14 @@ def cc(T: Triangulation, d: Seg, session: Optional[CCSession] = None) -> Laurent
 
     Members map to their variable, boundary to 1.  Raises Unreachable for
     arcs a fountain triangulation cannot reach; that refusal is a correct
-    answer, not a failure.  Raises ValueError on an Arc (m, n) with
-    n - m < 2, and NotMaximal when T leaves an arc that crosses no member.
+    answer, not a failure.  Raises InvalidArc (from `crossers`) unless d
+    is an arc of T's model, and NotMaximal when T leaves an arc that
+    crosses no member.
     """
     if session is None:
         session = CCSession()
-    if isinstance(d, Arc):
-        arc(*d)
-    if isinstance(d, Edge) or T.is_boundary(d):
+    if T.is_boundary(d):
         return ONE
-    if T.is_polygon:
-        lo, hi = T.base.lo, T.base.hi
-        if not (lo <= d.m and d.n <= hi):
-            raise ValueError(f"{tuple(d)} lies outside the polygon {{{lo}..{hi}}}")
     verdict = is_reachable(T, d)
     if not verdict.reachable:
         raise Unreachable(d, verdict.fountain)
@@ -92,7 +86,7 @@ def cc(T: Triangulation, d: Seg, session: Optional[CCSession] = None) -> Laurent
 def _rec(T: Triangulation, x: Seg, session: CCSession,
          cands: Optional[List[Arc]] = None) -> LaurentPoly:
     """cc of x; `cands`, when given, holds every member that crosses x."""
-    if isinstance(x, Edge) or T.is_boundary(x):
+    if T.is_boundary(x):
         return ONE
     if T.is_member(x):
         return LaurentPoly.variable(x, session.index)

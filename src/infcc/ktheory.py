@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
-from .arcs import Arc, Edge, Seg, crosses
+from .arcs import Arc, Seg, crosses
 from .errors import NotAMember, SupportMeetsU
 from .modules import g_module
 from .triangulation import Triangulation
@@ -85,13 +85,6 @@ class _ArcVector:
         body = " + ".join(f"{c}[{a.m},{a.n}]" for a, c in self.items()) or "0"
         return f"{type(self).__name__}({body})"
 
-    def to_json(self):
-        return [[[a.m, a.n], c] for a, c in self.items()]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([(Arc(m, n), c) for (m, n), c in data])
-
 
 class SplitK0Class(_ArcVector):
     pass
@@ -106,10 +99,10 @@ def theta_simple(T: Triangulation, t: Arc) -> SplitK0Class:
     res = T.flip(t)
     out = SplitK0Class()
     for s in res.middle_c:
-        if isinstance(s, Arc) and not T.is_boundary(s):
+        if not T.is_boundary(s):
             out = out + SplitK0Class({s: 1})
     for s in res.middle_c_prime:
-        if isinstance(s, Arc) and not T.is_boundary(s):
+        if not T.is_boundary(s):
             out = out - SplitK0Class({s: 1})
     return out
 
@@ -129,15 +122,10 @@ def _class_of(arcs: Iterable[Arc]) -> SplitK0Class:
     return SplitK0Class({a: 1 for a in arcs})
 
 
-def _require_polygon(P: Triangulation):
-    if not P.is_polygon:
-        raise ValueError("index/coindex are defined on finite polygon models only")
-
-
 def index(P: Triangulation, c: Seg) -> SplitK0Class:
     """Index of c relative to the polygon triangulation P."""
-    _require_polygon(P)
-    if isinstance(c, Edge) or P.is_boundary(c):
+    P.require_polygon("index")
+    if P.is_boundary(c):
         return SplitK0Class()
     if P.is_member(c):
         return SplitK0Class({c: 1})
@@ -148,8 +136,8 @@ def index(P: Triangulation, c: Seg) -> SplitK0Class:
 
 def coindex(P: Triangulation, c: Seg) -> SplitK0Class:
     """Coindex of c relative to P; dual to index through the mirror model."""
-    _require_polygon(P)
-    if isinstance(c, Edge) or P.is_boundary(c):
+    P.require_polygon("coindex")
+    if P.is_boundary(c):
         return SplitK0Class()
     socle = g_module(P, P.rotate(c, -1)).valleys()
     tops = g_module(P, P.rotate(c, -2)).peaks()
@@ -175,7 +163,7 @@ def hom_vanishes_polygon(P: Triangulation, d: Arc, targets: Iterable[Arc], k: in
     Polygon counterpart of the perpendicularity test: maps d -> rotate(u, k)
     exist exactly when d crosses rotate(u, k - 1).
     """
-    _require_polygon(P)
+    P.require_polygon("hom_vanishes_polygon")
     for u in targets:
         w = P.rotate(u, k - 1)
         if isinstance(w, Arc) and crosses(d, w):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, List, Sequence, Tuple
 
-from .arcs import Arc, Edge, Seg
+from .arcs import Arc, Seg
 from .errors import InvalidModule, NotMaximal
 from .triangulation import Triangulation, arrow_between
 
@@ -88,7 +88,7 @@ def g_module(T: Triangulation, c: Seg) -> StringModule:
     Zero (empty walk) exactly when c is a member or boundary.  Propagates
     InfiniteCrossers when c straddles a fountain.
     """
-    if isinstance(c, Edge) or T.is_boundary(c) or T.is_member(c):
+    if T.is_boundary(c) or T.is_member(c):
         return StringModule((), ())
     walk = tuple(T.crossers(c))
     return StringModule(walk, walk_dirs(T, walk))

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from .arcs import Arc, Seg, shift, spans
-from .errors import (InfiniteCrossers, InvalidModule, NotAMember, NotLocallyFinite,
-                     SupportMeetsU, TooLarge)
+from .errors import InfiniteCrossers, InvalidModule, NotAMember, SupportMeetsU, TooLarge
 from .exchange import CCSession, cc
 from .laurent import LaurentPoly
 from .modules import StringModule, walk_dirs
@@ -108,12 +107,11 @@ def cofinite_uspec_for(T: Triangulation, c: Arc, simples_of: Iterable[Arc] = ())
 
     Removes every member with an endpoint in the window; the result is a
     cofinite U with c in perp(shift U) and perp(shift^2 U), and each given
-    representative arc additionally in perp(U).  Locally finite
-    triangulations only; raises TooLarge after MAX_WINDOW_GROWTHS growths.
+    representative arc additionally in perp(U).  Infinite locally finite
+    triangulations only (`require_locally_finite`); raises TooLarge after
+    MAX_WINDOW_GROWTHS growths.
     """
-    kind = T.classify().kind
-    if kind != "locally_finite":
-        raise NotLocallyFinite(f"a cofinite U needs a locally finite triangulation, not a {kind} one")
+    T.require_locally_finite("cofinite_uspec_for")
     reps = list(simples_of)
     lo, hi = c.m, c.n
     for _ in range(MAX_WINDOW_GROWTHS):

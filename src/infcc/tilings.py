@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .arcs import Arc
-from .errors import ExactnessFailure, NonAdmissibleFrontier, NotLocallyFinite
+from .errors import ExactnessFailure, NonAdmissibleFrontier
 from .modules import count_submodules, g_module
 from .triangulation import Triangulation, check_window, path_letter, path_point, path_reach, path_steps, staircase
 
@@ -70,14 +71,11 @@ def tiling_window(T: Triangulation, lo: int, hi: int) -> TilingWindow:
 
     r(i, j) is the submodule count of the string module of the arc (i, j);
     members and only members give r = 1.  Raises ValueError on a window
-    that holds no arc, hi - lo < 2.
+    that holds no arc, hi - lo < 2, and as `require_locally_finite` on a
+    fountain or a polygon.
     """
     check_window(lo, hi)
-    cls = T.classify()
-    if cls.kind == "fountain":
-        raise NotLocallyFinite(f"fountain at {cls.fountain}: straddling cells cross infinitely many members")
-    if cls.kind != "locally_finite":
-        raise ValueError("tiling_window needs an infinite locally finite triangulation")
+    T.require_locally_finite("tiling_window")
     values = {}
     for i in range(lo, hi - 1):
         for j in range(i + 2, hi + 1):
@@ -94,10 +92,9 @@ def recurrence_window(T: Triangulation, lo: int, hi: int, pad: int = 3,
     `strict` every window cell must resolve (ExactnessFailure otherwise);
     without it the determined sub-window is returned, which is the honest
     result for member configurations the local propagation cannot finish.
+    Raises as `require_locally_finite` on a fountain or a polygon.
     """
-    cls = T.classify()
-    if cls.kind == "fountain":
-        raise NotLocallyFinite(f"fountain at {cls.fountain}")
+    T.require_locally_finite("recurrence_window")
     values: Dict[Cell, int] = {(a.m, a.n): 1 for a in T.members_in_window(lo - pad, hi + pad)}
     targets = {(i, j) for i in range(lo - pad, hi + pad - 1) for j in range(i + 2, hi + pad + 1)}
     _propagate(values, targets, edge=True)
@@ -151,26 +148,26 @@ class Frontier:
     def origin(self) -> Cell:
         return self.start if self.start is not None else (self.anchor, self.anchor + 2)
 
-    def points_covering(self, i_lo: int, j_lo: int, i_hi: int, j_hi: int) -> List[Cell]:
-        """Path points until the staircase has passed the given rectangle.
+    def points_covering(self, i_lo: int, j_lo: int, i_hi: int, j_hi: int) -> Iterator[Cell]:
+        """Path points, in order, until the staircase has passed the given rectangle.
 
         From the first point before the origin with i > i_hi + 1 and
         j < j_lo - 1 to the first point from the origin on with i < i_lo - 1
         and j > j_hi + 1: the steps to each end hold enough U's and R's.
+        A generator, so a walk keeps only the points it needs.
         """
         (i, j), word = self.origin, self.word
         back = path_letter(word, -1)
         first = -max(1, path_reach(back, "U", i_hi + 2 - i), path_reach(back, "R", j - j_lo + 2))
         end = max(path_reach(word, "U", i - i_lo + 2), path_reach(word, "R", j_hi + 2 - j))
         i, j = path_point(self.origin, word, first)
-        pts = [(i, j)]
+        yield i, j
         for ch in path_steps(word, first, end):
             if ch == "U":
                 i -= 1
             else:
                 j += 1
-            pts.append((i, j))
-        return pts
+            yield i, j
 
 
 def _solve_square(r: Dict[Cell, int], a: int, b: int, missing: Cell) -> int:
@@ -253,9 +250,10 @@ def extend_frontier(F: Frontier, bbox: Tuple[int, int, int, int]) -> TilingWindo
     if i_lo > i_hi or j_lo > j_hi:
         raise ValueError("empty bbox")
     pts = F.points_covering(i_lo, j_lo, i_hi, j_hi)
-    (i, j), (a, b), (c, d) = pts[0], (1, 0), (0, 1)
+    first = next(pts)
+    (i, j), (a, b), (c, d) = first, (1, 0), (0, 1)
     rows, cols = {}, {}
-    for p in pts:
+    for p in chain((first,), pts):
         if p[0] < i:
             a, b = a - c, b - d
         elif p[1] > j:

@@ -9,21 +9,25 @@ closed-form rules on the base corrected by the patch.
 
 Base families
 -------------
-* ``FountainBase(n)`` -- all arcs (m, n) and (n, p): two infinite fans at n.
+* ``FountainBase(fountain)`` -- all arcs (m, f) and (f, p): two infinite
+  fans at the fountain vertex f.  No frame.
 * ``StaircaseBase(entry, word)`` -- one arc of every width, nested: `entry`
   on the bottom row, then the steps of a staircase word, then strictly
   alternating steps.  The nested zigzag (a, a+2), (a-1, a+2), (a-1, a+3),
   (a-2, a+3), ... is the empty-word staircase at (a, a+2); ``zigzag:a`` and
-  ``nested_zigzag(a)`` are shorthands for it.
+  ``nested_zigzag(a)`` are shorthands for it.  No frame, no fountain.
 * ``PolygonBase(lo, hi, diagonals)`` -- diagonals of the finite polygon with
   vertices {lo..hi}; the boundary consists of the segments (i, i+1) plus the
-  long side (lo, hi).
+  long side, its frame (lo, hi).  No fountain.
 
 Every base answers the same queries, on arcs (m, n) with n - m >= 2:
 ``member(x)``, ``partners(v)`` (co-endpoints of the base arcs at v and
 whether that list is complete), ``members_in_window(lo, hi)``,
-``spanning_candidates(d)`` (base arcs spanning d, innermost first) and
-``kind``.  `Triangulation` applies the flip patch on top of them.
+``spanning_candidates(d)`` (base arcs spanning d, innermost first), and
+states its family: ``kind``, ``frame`` (the polygon's long side Arc(lo, hi),
+or None) and ``fountain`` (the fountain vertex, or None).  `Triangulation`
+applies the flip patch on top of them; its guards ``check_arc``,
+``require_polygon`` and ``require_locally_finite`` read the family facts.
 
 Fans
 ----
@@ -50,15 +54,8 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .arcs import Arc, Edge, Seg, arc, crosses, seg, spans
-from .errors import (
-    FlipTargetNotMember,
-    InfiniteCrossers,
-    InvalidSpec,
-    NotAMember,
-    NotAPolygon,
-    NotMaximal,
-    UnknownFamily,
-)
+from .errors import (FlipTargetNotMember, InfiniteCrossers, InvalidArc, InvalidSpec, NotAMember,
+                     NotAPolygon, NotLocallyFinite, NotMaximal, UnknownFamily, WrongFamily)
 
 # ---------------------------------------------------------------------------
 # base families
@@ -66,26 +63,28 @@ from .errors import (
 
 @dataclass(frozen=True)
 class FountainBase:
-    n: int
+    fountain: int
 
     kind: ClassVar[str] = "fountain"
+    frame: ClassVar[Optional[Arc]] = None
 
     def member(self, x: Arc) -> bool:
-        return x.n == self.n or x.m == self.n
+        return x.n == self.fountain or x.m == self.fountain
 
     def partners(self, v: int) -> Tuple[Sequence[int], bool]:
-        if v == self.n:
+        f = self.fountain
+        if v == f:
             return (), False  # the fans at the fountain are infinite
-        return ((self.n,) if abs(v - self.n) >= 2 else ()), True
+        return ((f,) if abs(v - f) >= 2 else ()), True
 
     def members_in_window(self, lo: int, hi: int) -> List[Arc]:
-        if not lo <= self.n <= hi:
+        f = self.fountain
+        if not lo <= f <= hi:
             return []
-        return ([Arc(m, self.n) for m in range(lo, self.n - 1)]
-                + [Arc(self.n, p) for p in range(self.n + 2, hi + 1)])
+        return [Arc(m, f) for m in range(lo, f - 1)] + [Arc(f, p) for p in range(f + 2, hi + 1)]
 
     def spanning_candidates(self, d: Arc) -> Iterable[Arc]:
-        n0 = self.n
+        n0 = self.fountain
         if d.n <= n0:
             start = d.m - 1 if d.n == n0 else d.m
             return (Arc(m, n0) for m in itertools.count(start, -1))
@@ -115,6 +114,8 @@ class StaircaseBase:
     _tail_sums: Tuple[int, int] = field(init=False, repr=False, compare=False)
 
     kind: ClassVar[str] = "locally_finite"
+    frame: ClassVar[Optional[Arc]] = None
+    fountain: ClassVar[Optional[int]] = None
 
     def __post_init__(self):
         if self.entry.n - self.entry.m != 2:
@@ -232,12 +233,15 @@ class PolygonBase:
     lo: int
     hi: int
     diagonals: frozenset
+    frame: Arc = field(init=False, repr=False, compare=False)  # the long side
 
     kind: ClassVar[str] = "finite_polygon"
+    fountain: ClassVar[Optional[int]] = None
 
     def __post_init__(self):
         if self.hi - self.lo < 2:
             raise ValueError("polygon needs at least 3 vertices")
+        object.__setattr__(self, "frame", Arc(self.lo, self.hi))
         for d in self.diagonals:
             if not (self.lo <= d.m and d.n <= self.hi and d.n - d.m >= 2):
                 raise ValueError(f"{tuple(d)} is not inside the polygon")
@@ -261,12 +265,6 @@ class PolygonBase:
 
     def spanning_candidates(self, d: Arc) -> List[Arc]:
         return sorted(t for t in self.diagonals if spans(t, d))
-
-
-@dataclass(frozen=True)
-class Classification:
-    kind: str  # 'locally_finite' | 'fountain' | 'finite_polygon'
-    fountain: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -325,20 +323,40 @@ class Triangulation:
 
     def side_exists(self, a: int, b: int) -> bool:
         """True when (a, b) is a member arc or a boundary segment."""
-        if b == a + 1:
-            return True
-        if self.is_polygon and (a, b) == (self.base.lo, self.base.hi):
-            return True
-        return self.is_member(Arc(a, b))
+        return b == a + 1 or (a, b) == self.base.frame or self.is_member(Arc(a, b))
 
     @property
     def is_polygon(self) -> bool:
-        return self.base.kind == "finite_polygon"
+        return self.base.frame is not None
 
     def is_boundary(self, x: Seg) -> bool:
-        if isinstance(x, Edge):
-            return True
-        return self.is_polygon and (x.m, x.n) == (self.base.lo, self.base.hi)
+        return isinstance(x, Edge) or x == self.base.frame
+
+    # -- family guards -------------------------------------------------------
+
+    def check_arc(self, d: Arc) -> None:
+        """Raise InvalidArc unless d is an arc of this model: m <= n - 2,
+        and on a polygon both ends on the frame."""
+        m, n = d
+        if m > n - 2:
+            arc(m, n)  # raises InvalidArc; building an Arc costs more than the test
+        frame = self.base.frame
+        if frame is not None and not (frame.m <= m and n <= frame.n):
+            raise InvalidArc(f"{tuple(d)} lies outside the polygon {{{frame.m}..{frame.n}}}")
+
+    def require_polygon(self, what: str) -> None:
+        """Raise NotAPolygon unless the model is a finite polygon."""
+        if self.base.frame is None:
+            raise NotAPolygon(f"{what} needs a finite polygon model, not a {self.base.kind} triangulation")
+
+    def require_locally_finite(self, what: str) -> None:
+        """Raise unless the model is an infinite locally finite one:
+        NotLocallyFinite on a fountain, WrongFamily on a polygon."""
+        if self.base.fountain is not None:
+            raise NotLocallyFinite(f"fountain at {self.base.fountain}: "
+                                   "straddling cells cross infinitely many members")
+        if self.base.frame is not None:
+            raise WrongFamily(f"{what} needs an infinite locally finite triangulation")
 
     # -- enumeration -------------------------------------------------------
 
@@ -378,17 +396,19 @@ class Triangulation:
         return sorted(out)
 
     def polygon_members(self) -> List[Arc]:
-        self._require_polygon("polygon_members")
-        return self.members_in_window(self.base.lo, self.base.hi)
+        self.require_polygon("polygon_members")
+        return self.members_in_window(*self.base.frame)
 
     # -- crossing queries ----------------------------------------------------
 
     def crossers(self, d: Arc) -> List[Arc]:
         """Members crossing d, in crossing order along d; none for a member.
 
-        Raises InfiniteCrossers when d straddles a fountain vertex; a finite
-        flip patch cannot make that set finite.
+        Raises InvalidArc unless d is an arc of the model (`check_arc`), and
+        InfiniteCrossers when d straddles a fountain vertex; a finite flip
+        patch cannot make that set finite.
         """
+        self.check_arc(d)
         if self.is_member(d):
             return []
         return self._crossing_members(d)
@@ -427,9 +447,9 @@ class Triangulation:
                 return t
         return next((t for t in self.base.spanning_candidates(d) if t not in self.removed), None)
 
-    def classify(self) -> Classification:
-        b = self.base
-        return Classification(b.kind, b.n if b.kind == "fountain" else None)
+    def classify(self):
+        """The base family, which states `kind`, `frame` and `fountain`."""
+        return self.base
 
     # -- triangles and flips -------------------------------------------------
 
@@ -472,8 +492,8 @@ class Triangulation:
         a, b = t
         ends_a, complete_a = self.fan(a)
         ends_b, complete_b = self.fan(b)
-        if self.is_polygon:
-            lo, hi = self.base.lo, self.base.hi
+        if self.base.frame is not None:
+            lo, hi = self.base.frame
             if a == lo:
                 ends_a += (hi,)
             if b == hi:
@@ -538,6 +558,7 @@ class Triangulation:
         Raises ValueError on a window that holds no arc, hi - lo < 2.
         """
         check_window(lo, hi)
+        frame = self.base.frame
         crossing = set()
         for x in self.members_in_window(lo, hi):
             try:
@@ -549,10 +570,8 @@ class Triangulation:
         for u in range(lo, hi - 1):
             for v in range(u + 2, hi + 1):
                 d = Arc(u, v)
-                if self.is_polygon:
-                    b = self.base
-                    if not (b.lo <= u and v <= b.hi) or (u, v) == (b.lo, b.hi):
-                        continue
+                if frame is not None and not spans(frame, d):
+                    continue  # off the polygon, or its long side
                 if self.is_member(d):
                     continue
                 try:
@@ -570,9 +589,9 @@ class Triangulation:
         """
         if vertices is None:
             if lo is None or hi is None:
-                if not self.is_polygon:
+                if self.base.frame is None:
                     raise ValueError("a window is required for infinite triangulations")
-                lo, hi = self.base.lo, self.base.hi
+                lo, hi = self.base.frame
             check_window(lo, hi)
             vertices = self.members_in_window(lo, hi)
         vs = sorted(set(vertices))
@@ -598,14 +617,16 @@ class Triangulation:
         """Cyclic vertex rotation v -> v + k of the polygon model.
 
         Arcs map to arcs and boundary to boundary; the long side is
-        represented as Edge(hi).
+        represented as Edge(hi).  Raises InvalidArc on an arc off the
+        polygon (`check_arc`).
         """
-        self._require_polygon("rotate")
-        lo, hi = self.base.lo, self.base.hi
+        self.require_polygon("rotate")
+        lo, hi = self.base.frame
         n_vertices = hi - lo + 1
         if isinstance(x, Edge):
             ends = (x.i, x.i + 1 if x.i < hi else lo)
         else:
+            self.check_arc(x)
             ends = (x.m, x.n)
         a, b = sorted(lo + (v - lo + k) % n_vertices for v in ends)
         if b - a == 1:
@@ -613,10 +634,6 @@ class Triangulation:
         if (a, b) == (lo, hi):
             return Edge(hi)
         return Arc(a, b)
-
-    def _require_polygon(self, what: str) -> None:
-        if not self.is_polygon:
-            raise NotAPolygon(f"{what} needs a finite polygon model, not a {self.base.kind} triangulation")
 
 
 def check_window(lo: int, hi: int) -> None:

@@ -71,7 +71,7 @@ def criterion_1_cluster_map(rng, size: str) -> Result:
     for T in models:
         if T.is_polygon:
             members = T.polygon_members()
-            pool = [d for d in polygon_diagonals(T.base.lo, T.base.hi)]
+            pool = polygon_diagonals(*T.base.frame)
         else:
             members = T.members_in_window(-8, 8)
             pool = _reachable_window_arcs(T, -8, 8)
@@ -151,7 +151,7 @@ def criterion_4_positivity(rng, size: str) -> Result:
     cases = 0
     for T in models:
         if T.is_polygon:
-            pool = polygon_diagonals(T.base.lo, T.base.hi)
+            pool = polygon_diagonals(*T.base.frame)
         else:
             pool = _reachable_window_arcs(T, -6, 6)
         ses = CCSession()

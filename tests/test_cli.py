@@ -47,7 +47,7 @@ def test_cc_json_roundtrip(capsys):
 
 
 def test_shorthand_parsing():
-    assert parse_triangulation("fountain:3").base.n == 3
+    assert parse_triangulation("fountain:3").base.fountain == 3
     assert parse_triangulation("zigzag:-1") == nested_zigzag(-1)
     P = parse_triangulation("polygon:0-4:0.2,0.3")
     assert P.is_polygon and len(P.polygon_members()) == 2

@@ -11,13 +11,14 @@ import infcc
 
 from tests.subproc import src_env
 
-# every name the package bound when its __init__ imported all submodules,
-# by the submodule that defines it
+# every public name of the package, by the submodule that defines it
 EXPORTS = {
     "arcs": ["Arc", "Edge", "arc", "crosses", "seg", "shift", "spans"],
-    "errors": ["ExactnessFailure", "FlipTargetNotMember", "InfccError", "InfiniteCrossers",
-               "NonAdmissibleFrontier", "NotAMember", "NotLocallyFinite", "SupportMeetsU",
-               "Unreachable", "UnknownFamily"],
+    "errors": ["ExactnessFailure", "ExponentOverflow", "FlipTargetNotMember", "InfccError",
+               "InfiniteCrossers", "InvalidArc", "InvalidModule", "InvalidSpec",
+               "NonAdmissibleFrontier", "NotAMember", "NotAPolygon", "NotLocallyFinite",
+               "NotMaximal", "SupportMeetsU", "TooLarge", "Unreachable", "UnknownFamily",
+               "WrongFamily"],
     "exchange": ["CCSession", "ReachabilityVerdict", "cc", "cc_multiset", "is_reachable"],
     "laurent": ["LaurentPoly", "format_fraction"],
     "cc_direct": ["cc_direct"],
@@ -27,7 +28,7 @@ EXPORTS = {
     "reduction": ["ReducedModel", "USpec", "cc_bar", "perp", "pi_star", "reduce", "u_of"],
     "tilings": ["Frontier", "TilingWindow", "extend_frontier", "frontier_to_triangulation",
                 "q_overlap_fill", "tiling_window", "verify_sl2"],
-    "triangulation": ["Classification", "Diagnosis", "FlipResult", "Quiver", "Triangulation",
+    "triangulation": ["Diagnosis", "FlipResult", "Quiver", "Triangulation",
                       "all_polygon_triangulations", "build", "fountain", "nested_zigzag",
                       "polygon", "polygon_diagonals", "random_polygon_triangulation",
                       "staircase"],
@@ -44,6 +45,14 @@ def test_names_are_the_submodule_objects(module):
         assert getattr(infcc, name) is getattr(mod, name), name
     if module != "cc_direct":
         assert getattr(infcc, module) is mod
+
+
+def test_every_error_class_is_exported():
+    from infcc import errors
+
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, Exception)}
+    assert classes == set(EXPORTS["errors"])
 
 
 def test_star_import_binds_the_same_public_names():

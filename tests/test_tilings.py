@@ -170,7 +170,7 @@ def test_points_covering_matches_walk(word, spec, corners):
     F = Frontier(word, **spec)
     i_lo, i_hi = sorted(corners[:2])
     j_lo, j_hi = sorted(corners[2:])
-    assert F.points_covering(i_lo, j_lo, i_hi, j_hi) == walk_covering(F.origin, word, i_lo, j_lo, i_hi, j_hi)
+    assert list(F.points_covering(i_lo, j_lo, i_hi, j_hi)) == walk_covering(F.origin, word, i_lo, j_lo, i_hi, j_hi)
 
 
 @settings(max_examples=60, deadline=None)

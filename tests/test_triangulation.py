@@ -8,16 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infcc.arcs import Arc, Edge
+from infcc.cc_direct import cc_direct
 from infcc.errors import (
     FlipTargetNotMember,
     InfiniteCrossers,
+    InvalidArc,
     InvalidSpec,
     NotAMember,
     NotAPolygon,
+    NotLocallyFinite,
     NotMaximal,
     UnknownFamily,
+    WrongFamily,
 )
 from infcc.exchange import CCSession, cc
+from infcc.ktheory import coindex, index
+from infcc.modules import count_submodules, g_module
+from infcc.reduction import cofinite_uspec_for
+from infcc.tilings import recurrence_window, tiling_window
 from infcc.triangulation import (
     StaircaseBase,
     all_polygon_triangulations,
@@ -375,7 +383,12 @@ def test_fans_match_brute_force(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_crossers_and_triangles_match_the_scans(seed):
     for T in _flipped_triangulations(seed):
+        frame = T.base.frame
         for d in window_arcs(-8, 9):
+            if frame is not None and not (frame.m <= d.m and d.n <= frame.n):
+                with pytest.raises(InvalidArc):
+                    T.crossers(d)
+                continue
             try:
                 expected = scan_crossers(T, d)
             except InfiniteCrossers:
@@ -385,7 +398,7 @@ def test_crossers_and_triangles_match_the_scans(seed):
             assert T.crossers(d) == expected, (T, d)
             if T.is_member(d):
                 assert [T.inner_vertex(d)] == scan_inner_vertex(T, d), (T, d)
-                lo, hi = (T.base.lo, T.base.hi) if T.is_polygon else (-60, 60)
+                lo, hi = frame or (-60, 60)
                 assert [T.outer_vertex(d)] == scan_outer_vertex(T, d, lo, hi), (T, d)
 
 
@@ -448,22 +461,83 @@ def test_polygon_operations_refuse_infinite_models():
         Z.polygon_members()
 
 
+def _off_frame_arcs(P):
+    lo, hi = P.base.frame
+    return [Arc(lo - 3, lo + 2), Arc(hi - 2, hi + 4), Arc(lo - 1, hi), Arc(lo - 2, hi + 2),
+            Arc(hi + 1, hi + 5)]
+
+
+OFF_FRAME_CALLS = {
+    "crossers": lambda P, d: P.crossers(d),
+    "g_module": g_module,
+    "index": index,
+    "coindex": coindex,
+    "rotate": lambda P, d: P.rotate(d, 1),
+    "cc": cc,
+    "cc_direct": cc_direct,
+}
+
+
+@pytest.mark.parametrize("call", sorted(OFF_FRAME_CALLS))
+@pytest.mark.parametrize("seed", range(3))
+def test_arcs_off_the_frame_raise_invalid_arc(call, seed):
+    rng = random.Random(seed)
+    hi = rng.randint(4, 9)
+    P = polygon(0, hi, sorted(random_polygon_triangulation(0, hi, rng)))
+    for d in _off_frame_arcs(P):
+        with pytest.raises(InvalidArc):
+            OFF_FRAME_CALLS[call](P, d)
+
+
+def test_polygon_arc_guard_examples():
+    P = polygon(0, 5, [(0, 2), (0, 3), (0, 4)])
+    with pytest.raises(InvalidArc, match=r"\(-3, 2\) lies outside the polygon \{0..5\}"):
+        P.crossers(Arc(-3, 2))
+    with pytest.raises(InvalidArc):
+        count_submodules(g_module(P, Arc(3, 9)))
+    with pytest.raises(InvalidArc):
+        index(P, Arc(3, 9))
+    for d in (Arc(3, 4), Arc(2, 2)):  # m > n - 2, on every family
+        for T in (P, nested_zigzag(0), fountain(0)):
+            with pytest.raises(InvalidArc, match="is not an arc"):
+                T.crossers(d)
+
+
+def test_line_model_operations_refuse_other_families():
+    P = polygon(0, 5, [(0, 2), (0, 3), (0, 4)])
+    for call in (lambda T: tiling_window(T, 0, 5), lambda T: recurrence_window(T, 0, 5),
+                 lambda T: cofinite_uspec_for(T, Arc(1, 4))):
+        with pytest.raises(WrongFamily):
+            call(P)
+        with pytest.raises(NotLocallyFinite, match="fountain at 0: straddling cells"):
+            call(fountain(0))
+    assert issubclass(NotAPolygon, WrongFamily)
+
+
 def test_polygon_operations_refuse_under_python_O():
+    # python -O strips asserts: every family guard must raise its typed error
     code = (
         "from infcc.arcs import Arc\n"
-        "from infcc.errors import NotAPolygon\n"
-        "from infcc.triangulation import nested_zigzag\n"
+        "from infcc.errors import InvalidArc, NotAPolygon, WrongFamily\n"
+        "from infcc.reduction import cofinite_uspec_for\n"
+        "from infcc.tilings import recurrence_window\n"
+        "from infcc.triangulation import nested_zigzag, polygon\n"
         "Z = nested_zigzag(0)\n"
-        "for call in (lambda: Z.rotate(Arc(0, 2), 1), Z.polygon_members):\n"
+        "P = polygon(0, 5, [(0, 2), (0, 3), (0, 4)])\n"
+        "calls = (lambda: Z.rotate(Arc(0, 2), 1), Z.polygon_members,\n"
+        "         lambda: P.crossers(Arc(-3, 2)), lambda: P.rotate(Arc(3, 9), 1),\n"
+        "         lambda: recurrence_window(P, 0, 5), lambda: cofinite_uspec_for(P, Arc(1, 4)))\n"
+        "for call in calls:\n"
         "    try:\n"
         "        call()\n"
-        "    except NotAPolygon:\n"
-        "        print('NotAPolygon')\n"
+        "    except (InvalidArc, WrongFamily) as e:\n"
+        "        print(type(e).__name__)\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "NotAPolygon\nNotAPolygon\n"
+    assert proc.stdout.split() == ["NotAPolygon", "NotAPolygon", "InvalidArc", "InvalidArc",
+                                   "WrongFamily", "WrongFamily"]
 
 
 ZIG = {"kind": "zigzag", "anchor": 0}
