@@ -31,6 +31,23 @@ class Edge(NamedTuple):
 Seg = Union[Arc, Edge]
 
 
+class Frozen:
+    """Mixin of the package's immutable value classes.
+
+    Attribute assignment and deletion raise AttributeError, so a value
+    never changes once built; `__init__` sets the slots through
+    object.__setattr__.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
 def arc(m: int, n: int) -> Arc:
     """Validated arc constructor; raises InvalidArc unless m <= n - 2."""
     if m > n - 2:

@@ -26,8 +26,8 @@ from .triangulation import Triangulation
 def cc_direct(P: Triangulation, c: Seg) -> LaurentPoly:
     """Laurent polynomial of c assembled from its submodule transfer.
 
-    Raises NotAPolygon off the polygon models, and InvalidArc (from
-    `crossers`) on an arc off the polygon.
+    Raises NotAPolygon off the polygon models, and InvalidArc on an arc or
+    an Edge off the polygon (`check_seg`, through `crossers` and `rotate`).
     """
     P.require_polygon("cc_direct")
     index = VarIndex()

@@ -15,7 +15,8 @@ class UnknownFamily(InfccError, ValueError):
 
 
 class InvalidSpec(InfccError, ValueError):
-    """A triangulation spec is not an object of the documented shape."""
+    """A triangulation spec, or an argument of a base family or session
+    constructor, is not of the documented shape."""
 
 
 class InvalidArc(InfccError, ValueError):

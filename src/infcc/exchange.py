@@ -16,17 +16,15 @@ the list shrinks at every level, which bounds the recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
-from .arcs import Arc, Seg, crosses, seg
-from .errors import NotMaximal, Unreachable
+from .arcs import Arc, Frozen, Seg, crosses, seg
+from .errors import InvalidSpec, NotMaximal, Unreachable
 from .laurent import ONE, LaurentPoly, VarIndex
 from .triangulation import Triangulation, crossing_order
 
 
-@dataclass(frozen=True)
-class ReachabilityVerdict:
+class ReachabilityVerdict(NamedTuple):
     reachable: bool
     region: str  # 'all' | 'e_minus' | 'e_plus' | 'above'
     fountain: Optional[int] = None
@@ -49,19 +47,35 @@ def is_reachable(T: Triangulation, d: Arc) -> ReachabilityVerdict:
     return ReachabilityVerdict(False, "above", n)
 
 
-@dataclass
-class CCSession:
+class CCSession(Frozen):
     """Memo table keyed by (triangulation, arc), and the variable index.
 
     Every polynomial of the session is built on `index`, so the exchange
-    products never repack exponent keys.  Not thread-safe; use one session
-    per thread (computations on separate sessions are independent and
-    embarrassingly parallel).
+    products never repack exponent keys.  The fields cannot be reassigned;
+    the memo fills in place.  Not thread-safe; use one session per thread
+    (computations on separate sessions are independent and embarrassingly
+    parallel).
     """
 
-    pivot: str = "first"  # 'first' | 'last', recursion choice hook for tests
-    memo: Dict[tuple, LaurentPoly] = field(default_factory=dict)
-    index: VarIndex = field(default_factory=VarIndex, init=False, repr=False)
+    __slots__ = ("pivot", "memo", "index")
+
+    def __init__(self, pivot: str = "first", memo: Optional[Dict[tuple, LaurentPoly]] = None):
+        if pivot not in ("first", "last"):  # the recursion choice hook for tests
+            raise InvalidSpec(f"pivot must be 'first' or 'last', got {pivot!r}")
+        set_ = object.__setattr__
+        set_(self, "pivot", pivot)
+        set_(self, "memo", {} if memo is None else memo)
+        set_(self, "index", VarIndex())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pivot, self.memo, self.index) == (other.pivot, other.memo, other.index)
+
+    __hash__ = None  # the memo fills in place
+
+    def __repr__(self):
+        return f"CCSession(pivot={self.pivot!r}, memo={self.memo!r})"
 
 
 def cc(T: Triangulation, d: Seg, session: Optional[CCSession] = None) -> LaurentPoly:
@@ -69,12 +83,13 @@ def cc(T: Triangulation, d: Seg, session: Optional[CCSession] = None) -> Laurent
 
     Members map to their variable, boundary to 1.  Raises Unreachable for
     arcs a fountain triangulation cannot reach; that refusal is a correct
-    answer, not a failure.  Raises InvalidArc (from `crossers`) unless d
-    is an arc of T's model, and NotMaximal when T leaves an arc that
-    crosses no member.
+    answer, not a failure.  Raises InvalidArc (`check_seg`) unless d is an
+    arc or boundary segment of T's model, and NotMaximal when T leaves an
+    arc that crosses no member.
     """
     if session is None:
         session = CCSession()
+    T.check_seg(d)
     if T.is_boundary(d):
         return ONE
     verdict = is_reachable(T, d)

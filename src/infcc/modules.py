@@ -23,26 +23,38 @@ a single point and every Euler characteristic equals 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
-from .arcs import Arc, Seg
+from .arcs import Arc, Frozen, Seg
 from .errors import InvalidModule, NotMaximal
 from .triangulation import Triangulation, arrow_between
 
 
-@dataclass(frozen=True)
-class StringModule:
-    walk: Tuple[Arc, ...]
-    dirs: Tuple[int, ...]
+class StringModule(Frozen):
+    """A walk of members and the direction of each structure map along it."""
 
-    def __post_init__(self):
-        if len(self.dirs) != max(len(self.walk) - 1, 0):
-            raise InvalidModule(f"a walk of {len(self.walk)} vertices needs "
-                                f"{max(len(self.walk) - 1, 0)} directions, got {len(self.dirs)}")
-        if len(set(self.walk)) != len(self.walk):
+    __slots__ = ("walk", "dirs")
+
+    def __init__(self, walk: Tuple[Arc, ...], dirs: Tuple[int, ...]):
+        if len(dirs) != max(len(walk) - 1, 0):
+            raise InvalidModule(f"a walk of {len(walk)} vertices needs "
+                                f"{max(len(walk) - 1, 0)} directions, got {len(dirs)}")
+        if len(set(walk)) != len(walk):
             raise InvalidModule("walks are multiplicity-free")
+        object.__setattr__(self, "walk", walk)
+        object.__setattr__(self, "dirs", dirs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.walk, self.dirs) == (other.walk, other.dirs)
+
+    def __hash__(self):
+        return hash((self.walk, self.dirs))
+
+    def __repr__(self):
+        return f"StringModule(walk={self.walk!r}, dirs={self.dirs!r})"
 
     @property
     def is_zero(self) -> bool:
@@ -119,8 +131,7 @@ def count_submodules(M: StringModule) -> int:
     return submodule_sum(M, repeat(1), 1)
 
 
-@dataclass(frozen=True)
-class SubmoduleClassTable:
+class SubmoduleClassTable(NamedTuple):
     entries: Tuple[Tuple[dict, int], ...]  # (class vector, point count)
 
     @property

@@ -16,8 +16,7 @@ test is a finite crossing scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .arcs import Arc, Seg, shift, spans
 from .errors import InfiniteCrossers, InvalidModule, NotAMember, SupportMeetsU, TooLarge
@@ -27,8 +26,7 @@ from .modules import StringModule, walk_dirs
 from .triangulation import Triangulation, polygon
 
 
-@dataclass(frozen=True)
-class USpec:
+class USpec(NamedTuple):
     """Cofinite subcategory of members, described by its finite complement."""
 
     ambient: Triangulation
@@ -39,8 +37,7 @@ class USpec:
         return self.ambient.is_member(u) and u not in self.removed
 
 
-@dataclass(frozen=True)
-class ReducedModel:
+class ReducedModel(NamedTuple):
     model: Triangulation  # polygon triangulation on the spanned vertices
     t: Arc
     rank: int

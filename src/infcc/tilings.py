@@ -27,11 +27,10 @@ is the staircase family that starts at the path's bottom-row point.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .arcs import Arc
+from .arcs import Arc, Frozen
 from .errors import ExactnessFailure, NonAdmissibleFrontier
 from .modules import count_submodules, g_module
 from .triangulation import Triangulation, check_window, path_letter, path_point, path_reach, path_steps, staircase
@@ -43,8 +42,7 @@ def _in_q(p: Cell) -> bool:
     return p[0] <= p[1] - 2
 
 
-@dataclass(frozen=True)
-class TilingWindow:
+class TilingWindow(NamedTuple):
     kind: str  # 'half_plane' | 'plane'
     values: Dict[Cell, int]
 
@@ -132,17 +130,29 @@ def verify_sl2(W: TilingWindow) -> List[Violation]:
 # frontiers
 
 
-@dataclass(frozen=True)
-class Frontier:
+class Frontier(Frozen):
     """The staircase path of 1's through `origin` and `word` (`path_point`)."""
 
-    word: str
-    anchor: int = 0
-    start: Optional[Cell] = None
+    __slots__ = ("word", "anchor", "start")
 
-    def __post_init__(self):
-        if any(ch not in "UR" for ch in self.word):
-            raise NonAdmissibleFrontier(f"letters must be U/R, got {self.word!r}")
+    def __init__(self, word: str, anchor: int = 0, start: Optional[Cell] = None):
+        if any(ch not in "UR" for ch in word):
+            raise NonAdmissibleFrontier(f"letters must be U/R, got {word!r}")
+        set_ = object.__setattr__
+        set_(self, "word", word)
+        set_(self, "anchor", anchor)
+        set_(self, "start", start)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.word, self.anchor, self.start) == (other.word, other.anchor, other.start)
+
+    def __hash__(self):
+        return hash((self.word, self.anchor, self.start))
+
+    def __repr__(self):
+        return f"Frontier(word={self.word!r}, anchor={self.anchor!r}, start={self.start!r})"
 
     @property
     def origin(self) -> Cell:

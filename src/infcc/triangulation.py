@@ -27,7 +27,9 @@ whether that list is complete), ``members_in_window(lo, hi)``,
 states its family: ``kind``, ``frame`` (the polygon's long side Arc(lo, hi),
 or None) and ``fountain`` (the fountain vertex, or None).  `Triangulation`
 applies the flip patch on top of them; its guards ``check_arc``,
-``require_polygon`` and ``require_locally_finite`` read the family facts.
+``check_seg``, ``require_polygon`` and ``require_locally_finite`` read the
+family facts.  The bases and `Triangulation` are immutable slotted values
+(`arcs.Frozen`); the returned records are NamedTuples.
 
 Fans
 ----
@@ -50,10 +52,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
-from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .arcs import Arc, Edge, Seg, arc, crosses, seg, spans
+from .arcs import Arc, Edge, Frozen, Seg, arc, crosses, seg, spans
 from .errors import (FlipTargetNotMember, InfiniteCrossers, InvalidArc, InvalidSpec, NotAMember,
                      NotAPolygon, NotLocallyFinite, NotMaximal, UnknownFamily, WrongFamily)
 
@@ -61,12 +62,25 @@ from .errors import (FlipTargetNotMember, InfiniteCrossers, InvalidArc, InvalidS
 # base families
 
 
-@dataclass(frozen=True)
-class FountainBase:
-    fountain: int
+class FountainBase(Frozen):
+    __slots__ = ("fountain",)
 
-    kind: ClassVar[str] = "fountain"
-    frame: ClassVar[Optional[Arc]] = None
+    kind = "fountain"
+    frame: Optional[Arc] = None
+
+    def __init__(self, fountain: int):
+        object.__setattr__(self, "fountain", fountain)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.fountain == other.fountain
+
+    def __hash__(self):
+        return hash((self.fountain,))
+
+    def __repr__(self):
+        return f"FountainBase(fountain={self.fountain!r})"
 
     def member(self, x: Arc) -> bool:
         return x.n == self.fountain or x.m == self.fountain
@@ -94,8 +108,7 @@ class FountainBase:
         return ()  # d straddles the fountain: no fan arc spans it
 
 
-@dataclass(frozen=True)
-class StaircaseBase:
+class StaircaseBase(Frozen):
     """Staircase family: one nested arc of every width, along a path.
 
     `entry` lies on the bottom row and the arc of width k + 2 is point k of
@@ -104,34 +117,42 @@ class StaircaseBase:
     would produce anyway are stripped, so equal families compare and hash
     equal.  Membership is closed form: a prefix count of U's for widths
     below len(word) + 2, and beyond m + n takes one of the two values in
-    `_tail_sums`.
+    `_tail_sums`.  Equality, hashing and repr read `entry` and `word`.
     """
 
-    entry: Arc
-    word: str
-    _ups: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _rights: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _tail_sums: Tuple[int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("entry", "word", "_ups", "_rights", "_tail_sums")
 
-    kind: ClassVar[str] = "locally_finite"
-    frame: ClassVar[Optional[Arc]] = None
-    fountain: ClassVar[Optional[int]] = None
+    kind = "locally_finite"
+    frame: Optional[Arc] = None
+    fountain: Optional[int] = None
 
-    def __post_init__(self):
-        if self.entry.n - self.entry.m != 2:
-            raise ValueError("staircase entry must lie on the bottom row")
-        if any(ch not in "UR" for ch in self.word):
-            raise ValueError(f"staircase word must use letters U/R, got {self.word!r}")
-        word = self.word
+    def __init__(self, entry: Arc, word: str):
+        if entry.n - entry.m != 2:
+            raise InvalidSpec("staircase entry must lie on the bottom row")
+        if any(ch not in "UR" for ch in word):
+            raise InvalidSpec(f"staircase word must use letters U/R, got {word!r}")
         while word and word[-1] == path_letter(word[:-1], len(word) - 1):
             word = word[:-1]
         ups = tuple(itertools.accumulate((ch == "U" for ch in word), initial=0))[:-1]
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "_ups", ups)
-        object.__setattr__(self, "_rights", tuple(k - u for k, u in enumerate(ups)))
+        set_ = object.__setattr__
+        set_(self, "entry", entry)
+        set_(self, "word", word)
+        set_(self, "_ups", ups)
+        set_(self, "_rights", tuple(k - u for k, u in enumerate(ups)))
         # beyond the word each step moves m + n by one, back and forth
         w = len(word)
-        object.__setattr__(self, "_tail_sums", (sum(self.arc_at(w)), sum(self.arc_at(w + 1))))
+        set_(self, "_tail_sums", (sum(self.arc_at(w)), sum(self.arc_at(w + 1))))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entry, self.word) == (other.entry, other.word)
+
+    def __hash__(self):
+        return hash((self.entry, self.word))
+
+    def __repr__(self):
+        return f"StaircaseBase(entry={self.entry!r}, word={self.word!r})"
 
     def arc_at(self, k: int) -> Arc:
         """The family arc of width k + 2: point k of the staircase path."""
@@ -228,31 +249,46 @@ def path_reach(word: str, c: str, a: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class PolygonBase:
-    lo: int
-    hi: int
-    diagonals: frozenset
-    frame: Arc = field(init=False, repr=False, compare=False)  # the long side
+class PolygonBase(Frozen):
+    """Diagonals of the polygon on {lo..hi}; `frame` is its long side.
 
-    kind: ClassVar[str] = "finite_polygon"
-    fountain: ClassVar[Optional[int]] = None
+    Equality, hashing and repr read `lo`, `hi` and `diagonals`.
+    """
 
-    def __post_init__(self):
-        if self.hi - self.lo < 2:
-            raise ValueError("polygon needs at least 3 vertices")
-        object.__setattr__(self, "frame", Arc(self.lo, self.hi))
-        for d in self.diagonals:
-            if not (self.lo <= d.m and d.n <= self.hi and d.n - d.m >= 2):
-                raise ValueError(f"{tuple(d)} is not inside the polygon")
-            if (d.m, d.n) == (self.lo, self.hi):
-                raise ValueError("the long side (lo, hi) is boundary, not a diagonal")
-        for a, b in itertools.combinations(sorted(self.diagonals), 2):
+    __slots__ = ("lo", "hi", "diagonals", "frame")
+
+    kind = "finite_polygon"
+    fountain: Optional[int] = None
+
+    def __init__(self, lo: int, hi: int, diagonals: frozenset):
+        if hi - lo < 2:
+            raise InvalidSpec("polygon needs at least 3 vertices")
+        for d in diagonals:
+            if not (lo <= d.m and d.n <= hi and d.n - d.m >= 2):
+                raise InvalidSpec(f"{tuple(d)} is not inside the polygon")
+            if (d.m, d.n) == (lo, hi):
+                raise InvalidSpec("the long side (lo, hi) is boundary, not a diagonal")
+        for a, b in itertools.combinations(sorted(diagonals), 2):
             if crosses(a, b):
-                raise ValueError(f"diagonals {tuple(a)} and {tuple(b)} cross")
-        if len(self.diagonals) != self.hi - self.lo - 2:
-            raise ValueError(f"a triangulation needs {self.hi - self.lo - 2} diagonals, "
-                             f"got {len(self.diagonals)}")
+                raise InvalidSpec(f"diagonals {tuple(a)} and {tuple(b)} cross")
+        if len(diagonals) != hi - lo - 2:
+            raise InvalidSpec(f"a triangulation needs {hi - lo - 2} diagonals, got {len(diagonals)}")
+        set_ = object.__setattr__
+        set_(self, "lo", lo)
+        set_(self, "hi", hi)
+        set_(self, "diagonals", diagonals)
+        set_(self, "frame", Arc(lo, hi))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi, self.diagonals) == (other.lo, other.hi, other.diagonals)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi, self.diagonals))
+
+    def __repr__(self):
+        return f"PolygonBase(lo={self.lo!r}, hi={self.hi!r}, diagonals={self.diagonals!r})"
 
     def member(self, x: Arc) -> bool:
         return x in self.diagonals
@@ -267,14 +303,12 @@ class PolygonBase:
         return sorted(t for t in self.diagonals if spans(t, d))
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(NamedTuple):
     vertices: Tuple[Arc, ...]
     arrows: Tuple[Tuple[Arc, Arc], ...]
 
 
-@dataclass(frozen=True)
-class Diagnosis:
+class Diagnosis(NamedTuple):
     crossing_pairs: Tuple[Tuple[Arc, Optional[Arc]], ...]
     missing: Tuple[Arc, ...]
 
@@ -283,8 +317,7 @@ class Diagnosis:
         return not self.crossing_pairs and not self.missing
 
 
-@dataclass(frozen=True)
-class FlipResult:
+class FlipResult(NamedTuple):
     new_triangulation: "Triangulation"
     replaced: Arc
     replacement: Arc
@@ -299,20 +332,36 @@ class FlipResult:
 Fan = Tuple[Tuple[int, ...], bool]
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(Frozen):
     """Immutable triangulation value: base family plus a finite flip patch.
 
-    Equality and hashing read `base`, `added` and `removed` only, so flips
-    that undo each other give back an equal value.  The fan memo is derived
-    data and takes no part in either.
+    Equality, hashing and repr read `base`, `added` and `removed` only, so
+    flips that undo each other give back an equal value.  The fan memo and
+    the added-member index are derived data and take no part in any of them.
     """
 
-    base: object
-    added: frozenset = frozenset()
-    removed: frozenset = frozenset()
-    _fans: Dict[int, Fan] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _added_at: Optional[Dict[int, List[int]]] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("base", "added", "removed", "_fans", "_added_at")
+
+    def __init__(self, base, added: frozenset = frozenset(), removed: frozenset = frozenset()):
+        set_ = object.__setattr__
+        set_(self, "base", base)
+        set_(self, "added", added)
+        set_(self, "removed", removed)
+        set_(self, "_fans", {})  # vertex -> Fan
+        set_(self, "_added_at", None)  # vertex -> co-endpoints of added members, on first use
+
+    # the memo keys of `exchange._rec` hash and compare triangulations, so
+    # these stay direct tuple expressions
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.added, self.removed) == (other.base, other.added, other.removed)
+
+    def __hash__(self):
+        return hash((self.base, self.added, self.removed))
+
+    def __repr__(self):
+        return f"Triangulation(base={self.base!r}, added={self.added!r}, removed={self.removed!r})"
 
     # -- membership --------------------------------------------------------
 
@@ -343,6 +392,18 @@ class Triangulation:
         frame = self.base.frame
         if frame is not None and not (frame.m <= m and n <= frame.n):
             raise InvalidArc(f"{tuple(d)} lies outside the polygon {{{frame.m}..{frame.n}}}")
+
+    def check_seg(self, x: Seg) -> None:
+        """Raise InvalidArc unless x is a segment of this model: an arc as in
+        `check_arc`; on a polygon an Edge(i) needs lo <= i <= hi, Edge(hi)
+        being the long side.  Every Edge is boundary of an infinite model."""
+        if not isinstance(x, Edge):
+            self.check_arc(x)
+            return
+        frame = self.base.frame
+        if frame is not None and not frame.m <= x.i <= frame.n:
+            raise InvalidArc(f"boundary segment Edge({x.i}) lies outside the polygon "
+                             f"{{{frame.m}..{frame.n}}}")
 
     def require_polygon(self, what: str) -> None:
         """Raise NotAPolygon unless the model is a finite polygon."""
@@ -547,7 +608,7 @@ class Triangulation:
             removed.remove(replacement)
         else:
             added.add(replacement)
-        new = replace(self, added=frozenset(added), removed=frozenset(removed))
+        new = Triangulation(self.base, frozenset(added), frozenset(removed))
         return FlipResult(new, t, replacement, (q0, q1, q2, q3), middle_c, middle_cp)
 
     # -- validation and quiver ------------------------------------------------
@@ -617,17 +678,14 @@ class Triangulation:
         """Cyclic vertex rotation v -> v + k of the polygon model.
 
         Arcs map to arcs and boundary to boundary; the long side is
-        represented as Edge(hi).  Raises InvalidArc on an arc off the
-        polygon (`check_arc`).
+        represented as Edge(hi).  Raises InvalidArc on an arc or an Edge
+        off the polygon (`check_seg`).
         """
         self.require_polygon("rotate")
+        self.check_seg(x)
         lo, hi = self.base.frame
         n_vertices = hi - lo + 1
-        if isinstance(x, Edge):
-            ends = (x.i, x.i + 1 if x.i < hi else lo)
-        else:
-            self.check_arc(x)
-            ends = (x.m, x.n)
+        ends = (x.i, x.i + 1 if x.i < hi else lo) if isinstance(x, Edge) else (x.m, x.n)
         a, b = sorted(lo + (v - lo + k) % n_vertices for v in ends)
         if b - a == 1:
             return Edge(a)

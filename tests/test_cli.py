@@ -300,8 +300,9 @@ def test_polygon_shorthand_takes_negative_vertices(capsys):
     assert code == 0 and out.strip() == "(x[-2,1] + 1)/x[-2,0]"
 
 
-# one fresh interpreter running cli.main once: its exit code, its stdout
-# and the infcc modules it loaded
+# one fresh interpreter running cli.main once: its exit code, its stdout,
+# the infcc modules it loaded and which of HEAVY it loaded
+HEAVY = ("dataclasses", "inspect")
 _FRESH = """
 import contextlib, io, json, sys
 from infcc import cli
@@ -309,8 +310,9 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(sys.argv[1:])
 print(json.dumps({"code": code, "out": out.getvalue(),
-                  "modules": sorted(m for m in sys.modules if m.startswith("infcc"))}))
-"""
+                  "modules": sorted(m for m in sys.modules if m.startswith("infcc")),
+                  "heavy": sorted(m for m in %r if m in sys.modules)}))
+""" % (HEAVY,)
 
 # several verbs in a row in one interpreter, usage errors between them
 _IN_A_ROW = """
@@ -362,6 +364,12 @@ def test_each_verb_loads_only_its_modules(fresh_runs, verb):
     assert run_["code"] == 0
     base = {"infcc", "infcc.cli", "infcc.arcs", "infcc.errors"}
     assert set(run_["modules"]) == base | {f"infcc.{m}" for m in VERB_MODULES[verb]}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_MODULES))
+def test_no_verb_loads_dataclasses_or_inspect(fresh_runs, verb):
+    # the value types are NamedTuples and slotted classes (README, "Cold start")
+    assert fresh_runs[verb]["heavy"] == []
 
 
 def test_verbs_in_a_row_print_what_fresh_processes_print(fresh_runs):

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from dataclasses import replace
 
 from infcc.arcs import Arc, Edge, crosses, seg
 from infcc.errors import NotMaximal, Unreachable
@@ -186,7 +185,7 @@ def test_quad_side_crossers_come_from_the_parent():
 def test_non_maximal_triangulation_raises_typed_error():
     # (0, 3) removed from the pentagon leaves (0, 3) and (2, 4) crossing nothing
     P = polygon(0, 4, [(0, 2), (0, 3)])
-    hole = replace(P, removed=frozenset({Arc(0, 3)}))
+    hole = Triangulation(P.base, frozenset(), frozenset({Arc(0, 3)}))
     with pytest.raises(NotMaximal):
         cc(hole, Arc(0, 3))
     with pytest.raises(NotMaximal):

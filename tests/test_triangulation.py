@@ -1,7 +1,6 @@
 import random
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +22,13 @@ from infcc.errors import (
 )
 from infcc.exchange import CCSession, cc
 from infcc.ktheory import coindex, index
+from infcc.laurent import ONE
 from infcc.modules import count_submodules, g_module
 from infcc.reduction import cofinite_uspec_for
 from infcc.tilings import recurrence_window, tiling_window
 from infcc.triangulation import (
     StaircaseBase,
+    Triangulation,
     all_polygon_triangulations,
     arrow_between,
     build,
@@ -88,9 +89,9 @@ def test_validate_window_examples():
     assert fountain(0).validate_window(-5, 5).ok
     # polygon() only builds triangulations, so the defects come from a patch
     P = polygon(0, 4, [(0, 2), (0, 3)])
-    d = replace(P, removed=frozenset({Arc(0, 3)})).validate_window(0, 4)
+    d = Triangulation(P.base, frozenset(), frozenset({Arc(0, 3)})).validate_window(0, 4)
     assert set(d.missing) == {Arc(0, 3), Arc(2, 4)}
-    d2 = replace(P, added=frozenset({Arc(1, 3)})).validate_window(0, 4)
+    d2 = Triangulation(P.base, frozenset({Arc(1, 3)})).validate_window(0, 4)
     assert (Arc(0, 2), Arc(1, 3)) in d2.crossing_pairs
 
 
@@ -308,7 +309,7 @@ def test_polygon_accepts_exactly_the_triangulations():
 
 def _broken_pentagon():
     """The pentagon {(0,2), (0,3)} with (0,3) removed: (0,2) has no outer triangle."""
-    return replace(polygon(0, 4, [(0, 2), (0, 3)]), removed=frozenset({Arc(0, 3)}))
+    return Triangulation(polygon(0, 4, [(0, 2), (0, 3)]).base, frozenset(), frozenset({Arc(0, 3)}))
 
 
 def test_flip_on_non_maximal_raises_not_maximal():
@@ -319,11 +320,10 @@ def test_flip_on_non_maximal_raises_not_maximal():
 def test_flip_on_non_maximal_under_python_O():
     # python -O strips asserts: the triangle checks must not be asserts
     code = (
-        "from dataclasses import replace\n"
         "from infcc.arcs import Arc\n"
         "from infcc.errors import NotMaximal\n"
-        "from infcc.triangulation import polygon\n"
-        "T = replace(polygon(0, 4, [(0, 2), (0, 3)]), removed=frozenset({Arc(0, 3)}))\n"
+        "from infcc.triangulation import Triangulation, polygon\n"
+        "T = Triangulation(polygon(0, 4, [(0, 2), (0, 3)]).base, frozenset(), frozenset({Arc(0, 3)}))\n"
         "try:\n"
         "    T.flip(Arc(0, 2))\n"
         "except NotMaximal:\n"
@@ -501,6 +501,36 @@ def test_polygon_arc_guard_examples():
         for T in (P, nested_zigzag(0), fountain(0)):
             with pytest.raises(InvalidArc, match="is not an arc"):
                 T.crossers(d)
+
+
+def test_edges_off_the_frame_raise_invalid_arc():
+    P = polygon(0, 5, [(0, 2), (0, 3), (0, 4)])
+    calls = (lambda e: cc(P, e), lambda e: cc_direct(P, e), lambda e: P.rotate(e, 1))
+    for i in (-3, -1, 6, 10):
+        for call in calls:
+            with pytest.raises(InvalidArc, match=rf"Edge\({i}\) lies outside the polygon \{{0..5\}}"):
+                call(Edge(i))
+    # on the frame every Edge is boundary, and Edge(5) is the long side
+    for i in range(0, 6):
+        assert cc(P, Edge(i)) == ONE and cc_direct(P, Edge(i)) == ONE
+    assert P.rotate(Edge(5), 1) == Edge(0) and P.rotate(Edge(0), -1) == Edge(5)
+    # an infinite model has no frame: every Edge is boundary
+    for T in (nested_zigzag(0), fountain(0)):
+        assert cc(T, Edge(10)) == ONE and cc(T, Edge(-10)) == ONE
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: staircase((0, 2), "UX"), "letters U/R, got 'UX'"),
+    (lambda: staircase((0, 3), "U"), "bottom row"),
+    (lambda: polygon(0, 4, [(0, 2), (1, 3)]), r"diagonals \(0, 2\) and \(1, 3\) cross"),
+    (lambda: polygon(0, 1, []), "at least 3 vertices"),
+    (lambda: polygon(0, 5, [(0, 2)]), "needs 3 diagonals, got 1"),
+    (lambda: polygon(0, 4, [(0, 2), (2, 6)]), r"\(2, 6\) is not inside the polygon"),
+    (lambda: polygon(0, 4, [(0, 2), (0, 4)]), "long side"),
+], ids=["word", "entry", "crossing", "size", "count", "outside", "long-side"])
+def test_base_constructors_raise_invalid_spec(make, message):
+    with pytest.raises(InvalidSpec, match=message):
+        make()
 
 
 def test_line_model_operations_refuse_other_families():
