@@ -10,9 +10,12 @@ Each of ROUNDS rounds runs one fresh child process per source tree
 ``infcc verify --size full`` per tree.  A child times, on
 ``nested_zigzag(0)``:
 
-* ``mul``, ``div_exact_variable``, ``format_fraction``, ``to_json`` on
-  ``cc((2, 11))``, 2584 terms (``mul`` multiplies it by ``cc((2, 5))``,
-  8 terms, from the same session);
+* ``mul`` and ``div_exact_variable`` on ``cc((2, 11))``, 2584 terms
+  (``mul`` multiplies it by ``cc((2, 5))``, 8 terms, from the same session);
+* the renderings ``format_fraction``, ``to_json`` and ``json_dumps``
+  (``json.dumps(p.to_json())``, the call the CLI makes) on three answers:
+  ``cc((2, 11))`` (the bare names), ``cc((2, 10))``, 987 terms (suffix
+  ``_987``), and ``cc((2, 5))``, 8 terms (suffix ``_8``);
 * ``cc_k14``: ``cc((2, 10))`` on a fresh session, 14 crossers, 987 terms.
 
 A kernel figure is the median of its repetitions inside the child; the
@@ -35,7 +38,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_laurent.json"
-KERNELS = ("mul", "div_exact_variable", "format_fraction", "to_json", "cc_k14")
+RENDERINGS = ("format_fraction", "to_json", "json_dumps")
+SIZES = {"": (11, 2584), "_987": (10, 987), "_8": (5, 8)}  # suffix: (n of arc (2, n), terms)
+KERNELS = ("mul", "div_exact_variable",
+           *(r + suffix for suffix in SIZES for r in RENDERINGS), "cc_k14")
 ROUNDS = 5
 MIN_REPS, MIN_SECONDS = 3, 0.3
 
@@ -58,18 +64,21 @@ def measure() -> dict:
 
     Z = nested_zigzag(0)
     ses = CCSession()
-    p = cc(Z, Arc(2, 11), ses)
-    q = cc(Z, Arc(2, 5), ses)
+    answers = {suffix: cc(Z, Arc(2, n), ses) for suffix, (n, _) in SIZES.items()}
+    sizes = {suffix: len(p.terms) for suffix, p in answers.items()}
+    if sizes != {suffix: terms for suffix, (_, terms) in SIZES.items()}:
+        raise SystemExit(f"unexpected sizes {sizes}")
+    p, q = answers[""], answers["_8"]
     u = Z.crossers(Arc(2, 11))[0]
-    if (len(p.terms), len(q.terms)) != (2584, 8):
-        raise SystemExit(f"unexpected sizes {len(p.terms)}, {len(q.terms)}")
     fns = {
         "mul": lambda: p * q,
         "div_exact_variable": lambda: p.div_exact_variable(u),
-        "format_fraction": lambda: format_fraction(p),
-        "to_json": lambda: p.to_json(),
         "cc_k14": lambda: cc(Z, Arc(2, 10), CCSession()),
     }
+    for suffix, a in answers.items():
+        fns["format_fraction" + suffix] = lambda a=a: format_fraction(a)
+        fns["to_json" + suffix] = a.to_json
+        fns["json_dumps" + suffix] = lambda a=a: json.dumps(a.to_json())
     return {name: 1e3 * _time(fns[name]) for name in KERNELS}
 
 
@@ -116,8 +125,9 @@ def main(argv=None) -> int:
         },
         "python": platform.python_version(),
         "sizes": {
-            "terms": 2584, "mul_by_terms": 8, "cc_k14_terms": 987,
-            "family": "nested_zigzag(0)", "arc": [2, 11], "cc_k14_arc": [2, 10],
+            "family": "nested_zigzag(0)", "mul_by_terms": 8, "cc_k14_terms": 987, "cc_k14_arc": [2, 10],
+            **{"terms" + suffix: terms for suffix, (_, terms) in SIZES.items()},
+            **{"arc" + suffix: [2, n] for suffix, (n, _) in SIZES.items()},
         },
         "units": {**{k: "ms" for k in KERNELS}, "verify_full_s": "s"},
         "rounds": ROUNDS,

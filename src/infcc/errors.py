@@ -15,8 +15,9 @@ class UnknownFamily(InfccError, ValueError):
 
 
 class InvalidSpec(InfccError, ValueError):
-    """A triangulation spec, or an argument of a base family or session
-    constructor, is not of the documented shape."""
+    """A triangulation spec, an argument of a base family or session
+    constructor, or the JSON form of a Laurent polynomial, is not of the
+    documented shape."""
 
 
 class InvalidArc(InfccError, ValueError):

@@ -23,6 +23,12 @@ keys never wrap.  Keys are decoded in one pass per term: adding and then
 xor-ing the bias 2**(FIELD_BITS - 1) in every field turns a key into its
 fields' 32-bit two's complement bytes, read back as C ints.
 
+The presentations (`sorted_terms`, `to_json`, `format_fraction`, and
+through them `hash` and `repr`) share one row per term: every distinct
+(variable, exponent) factor gets a one-character id in (Arc, exponent)
+order, and a term's row is the string of its ids, so one string sort
+orders the terms and each factor is rendered once per call (`_rows`).
+
 Zero coefficients are never stored, so equality of term dicts on one index
 is equality of polynomials; equality and hashing hold across indices.
 Values are immutable by convention; every operation returns a fresh
@@ -38,12 +44,12 @@ from __future__ import annotations
 
 import sys
 from functools import reduce
-from itertools import chain, compress
-from operator import or_
+from itertools import chain, repeat
+from operator import itemgetter, or_
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .arcs import Arc
-from .errors import ExponentOverflow
+from .errors import ExponentOverflow, InvalidArc, InvalidSpec, TooLarge
 
 ExpVec = Tuple[Tuple[Arc, int], ...]
 Exponents = Union[Mapping[Arc, int], Iterable[Tuple[Arc, int]]]
@@ -51,6 +57,14 @@ Exponents = Union[Mapping[Arc, int], Iterable[Tuple[Arc, int]]]
 FIELD_BITS = 32  # the C int that decoding reads the fields as
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _FIELD_BYTES = FIELD_BITS // 8
+
+# Row strings (see _rows): a gap stands for exponent 0 and an end closes a
+# term; the factor ids are the characters after them.
+_GAP, _END = "\0", "\1"
+_FIRST_ID = 2
+MAX_FACTORS = sys.maxunicode + 1 - _FIRST_ID  # distinct factors a rendering can name
+
+_TERM_KEYS = {"coeff", "exps"}  # the keys of a term in the JSON form
 
 
 class VarIndex:
@@ -126,37 +140,55 @@ def _decode(keys: Iterable[int], index: Optional[VarIndex]) -> Tuple[List[Arc], 
     n = len(index)
     bias = _bias(n)
     width = _FIELD_BYTES * n
+    byteorder = sys.byteorder
     zs = [(k + bias) ^ bias for k in keys]
-    fields = memoryview(b"".join(z.to_bytes(width, sys.byteorder) for z in zs)).cast("i")
-    used = memoryview(reduce(or_, zs).to_bytes(width, sys.byteorder)).cast("i")
+    fields = memoryview(b"".join([z.to_bytes(width, byteorder) for z in zs])).cast("i")
+    used = memoryview(reduce(or_, zs).to_bytes(width, byteorder)).cast("i")
     arcs = index.arcs
-    slots = sorted((s for s in range(n) if used[s]), key=arcs.__getitem__)
+    slots = sorted([s for s in range(n) if used[s]], key=arcs.__getitem__)
     return [arcs[s] for s in slots], [fields[s::n] for s in slots]
 
 
-def _ordered(keys: List[int], index: Optional[VarIndex]):
-    """(arcs, terms): the variables in Arc order, and the terms in ExpVec-descending order.
+def _rows(n: int, arcs: List[Arc], columns: List[memoryview],
+          lows: Optional[List[int]] = None) -> Tuple[Dict[str, Tuple[Arc, int]], List[str]]:
+    """(factors, rows) of n terms decoded into `arcs` and `columns`.
 
-    A term is (position in `keys`, row), its row the flat list
-    [j1, e1, j2, e2, ...] of the nonzero exponents e of arcs[j], j increasing.
-    Rows compare like the ExpVecs they stand for.  They are lists, not
-    tuples: thousands of freed tuples of one length would stay cached in
-    the interpreter's tuple free lists.
+    Every distinct (arc, exponent) pair with a nonzero exponent gets an id,
+    one character, numbered in (arc, exponent) order; `factors` maps each id
+    to its pair, in id order.  rows[i] is the string of the ids of term i's
+    factors, arcs increasing.  Rows compare like the ExpVecs they stand for:
+    the first differing id decides, and a shorter prefix sorts first in both.
+    A value e in column j stands for the exponent e - lows[j] (0 when `lows`
+    is None), so the columns of p serve for p * x^-lows as well.
+
+    Each column maps through its own table to one character per term, _GAP
+    for exponent 0; the columns are interleaved into one string with _END
+    after each term, and the gaps are deleted.
     """
-    arcs, columns = _decode(keys, index)
-    if columns:
-        nums = range(len(columns))
-        rows = [list(chain.from_iterable(compress(zip(nums, row), row))) for row in zip(*columns)]
-    else:
-        rows = [[] for _ in keys]
-    order = sorted(range(len(keys)), key=rows.__getitem__, reverse=True)
-    return arcs, [(i, rows[i]) for i in order]
+    factors: Dict[str, Tuple[Arc, int]] = {}
+    stride = len(columns) + 1
+    buf = [_END] * (n * stride)
+    for j, (a, col, lo) in enumerate(zip(arcs, columns, lows or repeat(0))):
+        col = col.tolist()
+        values = set(col)
+        values.discard(lo)
+        if len(values) > MAX_FACTORS - len(factors):
+            raise TooLarge(f"more than {MAX_FACTORS} distinct factors to render")
+        table = {lo: _GAP}
+        for e in sorted(values):
+            c = table[e] = chr(_FIRST_ID + len(factors))
+            factors[c] = (a, e - lo)
+        # every table[e] for e in col in one call; for one term the getter
+        # returns the bare one-character string, which iterates the same
+        buf[j::stride] = itemgetter(*col)(table)
+    rows = "".join(buf).replace(_GAP, "").split(_END)
+    rows.pop()
+    return factors, rows
 
 
-def _pairs(row: List[int]):
-    """(j, e) pairs of a flat row."""
-    it = iter(row)
-    return zip(it, it)
+def _order(rows: List[str]) -> List[int]:
+    """Positions of `rows`, their exponent vectors descending."""
+    return sorted(range(len(rows)), key=rows.__getitem__, reverse=True)
 
 
 def _repack(terms: Dict[int, int], src: VarIndex, dst: VarIndex) -> Tuple[Dict[int, int], VarIndex]:
@@ -383,9 +415,9 @@ class LaurentPoly:
 
     def sorted_terms(self) -> List[Tuple[ExpVec, int]]:
         """(exponent vector, coefficient) pairs, exponent vectors descending."""
-        arcs, terms = _ordered(list(self.terms), self.index)
+        factors, rows = _rows(len(self.terms), *_decode(self.terms, self.index))
         coeffs = list(self.terms.values())
-        return [(tuple((arcs[j], e) for j, e in _pairs(row)), coeffs[i]) for i, row in terms]
+        return [(tuple(map(factors.__getitem__, rows[i])), coeffs[i]) for i in _order(rows)]
 
     def __str__(self) -> str:
         return format_fraction(self)
@@ -394,28 +426,55 @@ class LaurentPoly:
         return f"LaurentPoly({dict(self.sorted_terms())!r})"
 
     def to_json(self):
-        """[{"coeff": c, "exps": [[[m, n], e], ...]}, ...], exponent vectors descending."""
-        arcs, terms = _ordered(list(self.terms), self.index)
-        points = [(a.m, a.n) for a in arcs]
+        """[{"coeff": c, "exps": [((m, n), e), ...]}, ...], exponent vectors descending.
+
+        The factor entries are shared tuples, one per distinct (arc, exponent)
+        pair, which json.dumps writes as [[m, n], e]; they are immutable, so
+        sharing them is safe.
+        """
+        factors, rows = _rows(len(self.terms), *_decode(self.terms, self.index))
+        shared = {c: ((a.m, a.n), e) for c, (a, e) in factors.items()}
         coeffs = list(self.terms.values())
-        return [{"coeff": coeffs[i], "exps": [[list(points[j]), e] for j, e in _pairs(row)]}
-                for i, row in terms]
+        return [{"coeff": coeffs[i], "exps": list(map(shared.__getitem__, rows[i]))}
+                for i in _order(rows)]
 
     @staticmethod
     def from_json(data) -> "LaurentPoly":
         """The inverse of `to_json`, keyed directly on a fresh index.
 
+        `data` is a list of {"coeff": c, "exps": [[[m, n], e], ...]} terms
+        (tuples do for lists) with integers c, m, n, e, each (m, n) an arc;
+        bools are not integers here.  Any other shape or value raises
+        InvalidSpec, and a point (m, n) that is not an arc raises InvalidArc.
+
         Each distinct [m, n] gets one slot and a factor adds e << shift, so
         repeated arcs add up; a term whose sum of |e| could leave a field
         is packed through the constructor's exact check instead.
         """
+        if not isinstance(data, (list, tuple)):
+            raise InvalidSpec(f"Laurent JSON must be a list of terms, got {type(data).__name__}")
         index = VarIndex()
         shifts: Dict[Tuple[int, int], int] = {}
         acc: Dict[int, int] = {}
         bound = 0
-        for entry in data:
+        for i, entry in enumerate(data):
+            if type(entry) is not dict or entry.keys() != _TERM_KEYS:
+                raise InvalidSpec(f"term {i} is not an object with the keys \"coeff\" and \"exps\"")
+            c, exps = entry["coeff"], entry["exps"]
+            if type(c) is not int:
+                raise InvalidSpec(f"term {i}: the coefficient {c!r} is not an integer")
+            if not isinstance(exps, (list, tuple)):
+                raise InvalidSpec(f"term {i}: \"exps\" is a {type(exps).__name__}, not a list")
             key = size = 0
-            for (m, n), e in entry["exps"]:
+            for f in exps:
+                try:
+                    (m, n), e = f
+                except (TypeError, ValueError):
+                    raise InvalidSpec(f"term {i}: the factor {f!r} is not of the form [[m, n], e]") from None
+                if type(m) is not int or type(n) is not int or type(e) is not int:
+                    raise InvalidSpec(f"term {i}: the factor {f!r} has a non-integer entry")
+                if m > n - 2:
+                    raise InvalidArc(f"term {i}: ({m},{n}) is not an arc: need m <= n-2")
                 if e:
                     sh = shifts.get((m, n))
                     if sh is None:
@@ -423,9 +482,9 @@ class LaurentPoly:
                     key += e << sh
                     size += abs(e)
             if size > MAX_EXPONENT:
-                key, size = _pack(((Arc(m, n), e) for (m, n), e in entry["exps"]), index)
+                key, size = _pack(((Arc(m, n), e) for (m, n), e in exps), index)
             bound = max(bound, size)
-            acc[key] = acc.get(key, 0) + entry["coeff"]
+            acc[key] = acc.get(key, 0) + c
         terms = {k: v for k, v in acc.items() if v}
         return _new(terms, index if any(terms) else None, bound)
 
@@ -441,28 +500,26 @@ def format_fraction(p: LaurentPoly) -> str:
     """Canonical text: numerator over a single monomial denominator.
 
     The denominator collects every variable with a negative minimum
-    exponent, so the numerator is an honest polynomial.  The packed keys
-    are shifted by the denominator once, then decoded once.
+    exponent, so the numerator is an honest polynomial.  The keys are
+    decoded once, and each column is read relative to its denominator
+    exponent.
     """
     if not p.terms:
         return "0"
     arcs, columns = _decode(p.terms, p.index)
+    lows = [min(min(col), 0) for col in columns]
     den = {}
-    shift = 0
-    for a, col in zip(arcs, columns):
-        lo = min(col)
+    for a, col, lo in zip(arcs, columns, lows):
         if lo < 0:
             _check(max(col) - lo, f"numerator exponent of x[{a.m},{a.n}]")
             den[a] = -lo
-            shift -= lo << (FIELD_BITS * p.index.slots[a])
-    keys = [k + shift for k in p.terms]
-    num_arcs, terms = _ordered(keys, p.index)
-    names = [f"x[{a.m},{a.n}]" for a in num_arcs]
+    factors, rows = _rows(len(p.terms), arcs, columns, lows)
+    names = {c: _factor(a, e) for c, (a, e) in factors.items()}
     coeffs = list(p.terms.values())
     parts = []
-    for i, row in terms:
+    for i in _order(rows):
         c = coeffs[i]
-        body = "*".join([names[j] if e == 1 else f"{names[j]}^{e}" for j, e in _pairs(row)])
+        body = "*".join(map(names.__getitem__, rows[i]))
         if not body:
             s = str(c)
         elif c == 1:
@@ -479,7 +536,7 @@ def format_fraction(p: LaurentPoly) -> str:
     if not den:
         return num_str
     den_str = "*".join(_factor(a, e) for a, e in den.items())
-    if len(keys) > 1:
+    if len(rows) > 1:
         num_str = f"({num_str})"
     if "*" in den_str:
         den_str = f"({den_str})"

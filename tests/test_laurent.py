@@ -1,12 +1,14 @@
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from infcc import laurent
 from infcc.arcs import Arc
-from infcc.errors import ExponentOverflow
+from infcc.errors import ExponentOverflow, InvalidArc, InvalidSpec, TooLarge
 from infcc.exchange import CCSession, cc
 from infcc.laurent import MAX_EXPONENT, ONE, LaurentPoly, VarIndex, format_fraction
 from infcc.triangulation import nested_zigzag
@@ -90,6 +92,7 @@ def test_substitute_unit_is_ring_map(p, q):
 def test_json_roundtrip(p):
     data = json.loads(json.dumps(p.to_json()))
     assert LaurentPoly.from_json(data) == p
+    assert LaurentPoly.from_json(p.to_json()) == p  # the shared tuples read back too
 
 
 def test_fraction_format():
@@ -146,6 +149,7 @@ def same(p, ref):
     """Byte-for-byte agreement of every presentation, and polynomial equality."""
     assert json.dumps(p.to_json()) == json.dumps(ref.to_json())
     assert format_fraction(p) == ref.format_fraction()
+    assert p.sorted_terms() == ref.sorted_terms()
     assert p.min_exponents() == ref.min_exponents()
     assert p.variables() == set(ref.min_exponents())
     assert p == LaurentPoly(ref.terms)
@@ -233,6 +237,71 @@ def test_golden_2584_terms():
         "e265f9b73b2c40f6bd0ba1a90475cb966628f7ec"
 
 
+@pytest.mark.parametrize("n, terms, text_sha1, json_sha1", [
+    (12, 6765, "483cde2b56cf792bfc6f72382420feb7a6c615aa", "0f8f23d1ddf760beb29fed2c4ef67bc87c2e586e"),
+    (14, 46368, "4cf81b9132bd9f4dc791af2e93f78f4d1ad6df5b", "50d085a8c9abe3954f578c35496ed18c6927eddb"),
+])
+def test_golden_at_scale(n, terms, text_sha1, json_sha1):
+    """Digests of the renderings of cc((2, n)), recorded with per-term exponent lists."""
+    p = cc(nested_zigzag(0), Arc(2, n))
+    assert len(p.terms) == terms
+    assert hashlib.sha1(format_fraction(p).encode()).hexdigest() == text_sha1
+    assert hashlib.sha1(json.dumps(p.to_json()).encode()).hexdigest() == json_sha1
+
+
+# -- one id per factor ----------------------------------------------------------
+
+def distinct_factors(p):
+    return {f for k, _ in p.sorted_terms() for f in k}
+
+
+def test_to_json_shares_one_object_per_factor():
+    p = cc(nested_zigzag(0), Arc(2, 10))
+    out = p.to_json()
+    assert len({id(f) for t in out for f in t["exps"]}) == len(distinct_factors(p)) > 1
+    assert all(type(f) is tuple and type(f[0]) is tuple for t in out for f in t["exps"])
+
+
+def many_factor_spec(seed, arcs, terms, exps):
+    rng = random.Random(seed)
+    return [([(a, rng.choice(exps)) for a in rng.sample(arcs, rng.randint(0, 12))],
+             rng.choice([-3, -1, 1, 2, 5])) for _ in range(terms)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hundreds_of_factors_match_oracle(seed):
+    """More distinct factors than one byte can number render as the oracle does."""
+    arcs = [Arc(m, m + d) for m in range(-4, 4) for d in (2, 3, 5)]
+    spec = many_factor_spec(seed, arcs, 300, [e for e in range(-9, 10) if e])
+    ref = NaiveLaurent(spec)
+    p = LaurentPoly.from_json(json_of(spec))
+    assert len(distinct_factors(p)) >= 300
+    same(p, ref)
+    same(p * x(A), ref * NaiveLaurent([(((A, 1),), 1)]))
+
+
+def test_factor_ids_past_the_basic_plane():
+    """Ids run through the surrogate block and past U+FFFF and still sort as exponents do."""
+    spec = [([(A, e)], e % 7 - 3 or 1) for e in range(-34000, 34000) if e]
+    spec += [([(A, e), (B, 1)], 1) for e in range(-50, 50, 3)]
+    ref = NaiveLaurent(spec)
+    p = LaurentPoly.from_json(json_of(spec))
+    assert len(distinct_factors(p)) > 0xFFFF
+    assert json.dumps(p.to_json()) == json.dumps(ref.to_json())
+    assert format_fraction(p) == ref.format_fraction()
+    assert p.sorted_terms() == ref.sorted_terms()
+
+
+def test_too_many_factors_refused(monkeypatch):
+    p = LaurentPoly.from_json(json_of([([(A, e)], 1) for e in range(1, 6)]))
+    monkeypatch.setattr(laurent, "MAX_FACTORS", 4)
+    for render in (format_fraction, LaurentPoly.to_json, LaurentPoly.sorted_terms):
+        with pytest.raises(TooLarge):
+            render(p)
+    monkeypatch.setattr(laurent, "MAX_FACTORS", 5)
+    assert format_fraction(p) == "x[0,2]^5 + x[0,2]^4 + x[0,2]^3 + x[0,2]^2 + x[0,2]"
+
+
 # -- exponent range ---------------------------------------------------------------
 
 def test_exponent_at_the_limit():
@@ -299,6 +368,33 @@ def test_from_json_examples(data, expected):
     assert format_fraction(p) == format_fraction(expected)
     if not p.terms or list(p.terms) == [0]:
         assert p.index is None  # constants need no index
+
+
+@pytest.mark.parametrize("data, error", [
+    ([{"coeff": 1.5, "exps": [[[0, 2], 1]]}], InvalidSpec),  # not exact
+    ([{"coeff": True, "exps": [[[0, 2], 1]]}], InvalidSpec),
+    ([{"coeff": 1, "exps": [[[0, 2], True]]}], InvalidSpec),
+    ([{"coeff": 1, "exps": [[[0, 2], 1.0]]}], InvalidSpec),
+    ([{"coeff": 1, "exps": [[[0, False], 1]]}], InvalidSpec),
+    ([{"coeff": 1, "exps": [[["0", 2], 1]]}], InvalidSpec),
+    ([{"coeff": 1, "exps": [[[5, 2], 1]]}], InvalidArc),  # (5, 2) is not an arc
+    ([{"coeff": 1, "exps": [[[0, 1], 0]]}], InvalidArc),
+    ([{"coeff": 1}], InvalidSpec),  # no "exps"
+    ([{"exps": []}], InvalidSpec),
+    ([{"coeff": 1, "exps": [], "extra": 0}], InvalidSpec),
+    ([{"coeff": 1, "exps": "x[0,2]"}], InvalidSpec),
+    ([{"coeff": 1, "exps": [[[0, 2]]]}], InvalidSpec),
+    ([{"coeff": 1, "exps": [[0, 2, 1]]}], InvalidSpec),
+    ([{"coeff": 1, "exps": [None]}], InvalidSpec),
+    (["x[0,2]"], InvalidSpec),
+    ([[1, []]], InvalidSpec),
+    ("x[0,2] + 1", InvalidSpec),
+    ({"coeff": 1, "exps": []}, InvalidSpec),
+    (None, InvalidSpec),
+])
+def test_from_json_refuses_malformed(data, error):
+    with pytest.raises(error):
+        LaurentPoly.from_json(data)
 
 
 def test_from_json_exponent_range():
