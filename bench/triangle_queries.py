@@ -7,11 +7,17 @@ Usage:
 
 Each of ROUNDS rounds runs one fresh child process per source tree,
 alternating, so both see the same drift in machine speed.  A child times,
-on ``nested_zigzag(0)`` and always on a freshly built triangulation value
-(so no per-value memo is warm):
+on ``nested_zigzag(0)`` unless named otherwise, and always on a freshly
+built triangulation value (so no per-value memo is warm):
 
 * ``flip_us_w<W>``: flipping the member of width W = n - m, W = 4, 16, 64
   and 200,001;
+* ``flip_us_polygon12``: flipping every member of a fixed 12-gon
+  (`POLYGON12`), per flip;
+* ``flip_us_fountain_runs``: flipping every member in [-6, 6] of the
+  fountain at 0 with three members removed on each side of it
+  (`FOUNTAIN_RUNS`), per flip, so each flip at the fountain vertex steps
+  over a run of removed members;
 * ``crossers_member_ms_w<W>``: ``crossers`` of the member of width W =
   2,001, 20,001 and 200,001 (it crosses nothing);
 * ``crossers_us_k<K>``: ``crossers`` of a non-member crossing K members,
@@ -53,6 +59,8 @@ KS = range(4, 15)
 TILING_HALF_WIDTHS = (8, 16, 32, 64)
 RECURRENCE_HALF_WIDTHS = (16, 20)
 FRONTIER_HALF_WIDTHS = (8, 16, 32, 48)
+POLYGON12 = [(0, 2), (0, 5), (2, 5), (3, 5), (5, 11), (5, 8), (6, 8), (8, 11), (9, 11)]
+FOUNTAIN_RUNS = [(-2, 0), (-3, 0), (-4, 0), (0, 2), (0, 3), (0, 4)]
 
 
 def _time(make, fn) -> float:
@@ -83,13 +91,17 @@ def _arc_crossing(Z, k):
 def measure() -> dict:
     """Figures for the infcc found on sys.path."""
     from infcc.tilings import Frontier, extend_frontier, recurrence_window, tiling_window
-    from infcc.triangulation import nested_zigzag
+    from infcc.triangulation import fountain, nested_zigzag, polygon
 
     fresh = lambda: nested_zigzag(0)  # noqa: E731
     at = fresh().base.arc_at  # the member of width k + 2
     out = {}
     for w in FLIP_WIDTHS:
         out[f"flip_us_w{w}"] = 1e6 * _time(fresh, lambda T, t=at(w - 2): T.flip(t))
+    for name, make, (lo, hi) in (("polygon12", lambda: polygon(0, 11, POLYGON12), (0, 11)),
+                                 ("fountain_runs", lambda: fountain(0, FOUNTAIN_RUNS), (-6, 6))):
+        members = make().members_in_window(lo, hi)
+        out[f"flip_us_{name}"] = 1e6 * _time(make, lambda T, ms=members: [T.flip(t) for t in ms]) / len(members)
     for w in MEMBER_WIDTHS:
         out[f"crossers_member_ms_w{w}"] = 1e3 * _time(fresh, lambda T, t=at(w - 2): T.crossers(t))
     for k in KS:
@@ -139,7 +151,7 @@ def main(argv=None) -> int:
             "cpu_count": os.cpu_count(),
         },
         "python": platform.python_version(),
-        "family": "nested_zigzag(0), a fresh value per timed call",
+        "family": "nested_zigzag(0) unless the figure names another, a fresh value per timed call",
         "units": {k: "ms" if "_ms_" in k else "us" for k in next(iter(figures.values()))},
         "rounds": ROUNDS,
         "figures": figures,

@@ -313,10 +313,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _UsageError as e:
-        sys.stderr.write(f"usage error: {e}\n")
-        return 1
-    except (ValueError, KeyError) as e:
+    except (_UsageError, ValueError, KeyError) as e:
         sys.stderr.write(f"usage error: {e}\n")
         return 1
     except Unreachable as e:

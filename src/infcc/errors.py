@@ -16,8 +16,8 @@ class UnknownFamily(InfccError, ValueError):
 
 class InvalidSpec(InfccError, ValueError):
     """A triangulation spec, an argument of a base family or session
-    constructor, or the JSON form of a Laurent polynomial, is not of the
-    documented shape."""
+    constructor, a window or bounding box, or the JSON form of a Laurent
+    polynomial, is not of the documented shape."""
 
 
 class InvalidArc(InfccError, ValueError):

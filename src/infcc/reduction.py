@@ -115,10 +115,7 @@ def cofinite_uspec_for(T: Triangulation, c: Arc, simples_of: Iterable[Arc] = ())
         pad_members = set(T.members_in_window(lo - 1, hi + 1))
         # members with an endpoint in [lo, hi] but reaching outside the window
         for v in range(lo, hi + 1):
-            ends, complete = T.fan(v)
-            if not complete:
-                raise InfiniteCrossers(v)
-            pad_members.update(Arc(min(v, w), max(v, w)) for w in ends)
+            pad_members.update(Arc(min(v, w), max(v, w)) for w in T.fan(v))
         U = USpec(T, frozenset(pad_members))
         ok = perp(c, U, 1) and perp(c, U, 2)
         for s in reps:

@@ -31,7 +31,7 @@ from itertools import chain
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .arcs import Arc, Frozen
-from .errors import ExactnessFailure, NonAdmissibleFrontier
+from .errors import ExactnessFailure, InvalidSpec, NonAdmissibleFrontier
 from .modules import count_submodules, g_module
 from .triangulation import Triangulation, check_window, path_letter, path_point, path_reach, path_steps, staircase
 
@@ -68,7 +68,7 @@ def tiling_window(T: Triangulation, lo: int, hi: int) -> TilingWindow:
     """Half-plane tiling of a locally finite triangulation on [lo, hi].
 
     r(i, j) is the submodule count of the string module of the arc (i, j);
-    members and only members give r = 1.  Raises ValueError on a window
+    members and only members give r = 1.  Raises InvalidSpec on a window
     that holds no arc, hi - lo < 2, and as `require_locally_finite` on a
     fountain or a polygon.
     """
@@ -254,11 +254,12 @@ def extend_frontier(F: Frontier, bbox: Tuple[int, int, int, int]) -> TilingWindo
     u <- u - v and an 'R' step v <- v - u, so det(u, v) = 1 on the path.
     With u_i the u of row i and v_j the v of column j, r(i, j) = det(u_i, v_j);
     only the bbox's rows and columns are kept.  A value that is not positive
-    falsifies admissibility and raises ExactnessFailure.
+    falsifies admissibility and raises ExactnessFailure; an empty bbox
+    raises InvalidSpec.
     """
     i_lo, j_lo, i_hi, j_hi = bbox
     if i_lo > i_hi or j_lo > j_hi:
-        raise ValueError("empty bbox")
+        raise InvalidSpec("empty bbox")
     pts = F.points_covering(i_lo, j_lo, i_hi, j_hi)
     first = next(pts)
     (i, j), (a, b), (c, d) = first, (1, 0), (0, 1)

@@ -21,8 +21,8 @@ Base families
   long side, its frame (lo, hi).  No fountain.
 
 Every base answers the same queries, on arcs (m, n) with n - m >= 2:
-``member(x)``, ``partners(v)`` (co-endpoints of the base arcs at v and
-whether that list is complete), ``members_in_window(lo, hi)``,
+``member(x)``, ``partners(v)`` (co-endpoints of the base arcs at v; the
+fountain's raises NotLocallyFinite), ``members_in_window(lo, hi)``,
 ``spanning_candidates(d)`` (base arcs spanning d, innermost first), and
 states its family: ``kind``, ``frame`` (the polygon's long side Arc(lo, hi),
 or None) and ``fountain`` (the fountain vertex, or None).  `Triangulation`
@@ -34,18 +34,24 @@ family facts.  The bases and `Triangulation` are immutable slotted values
 Fans
 ----
 ``Triangulation.fan(v)`` is the ascending tuple of member co-endpoints at
-the vertex v, with a flag that is False only at a fountain vertex (whose
-base fans are infinite, so only the added members are listed).  It is
-read once per vertex from ``base.partners(v)`` and a vertex -> `added`
-index, and kept in a memo that takes no part in equality or hashing.  The
-crossing and triangle queries read fans instead of testing candidate arcs:
+the vertex v.  It is read once per vertex from ``base.partners(v)`` and a
+vertex -> `added` index, and kept in a memo that takes no part in equality
+or hashing.  At a fountain vertex the fan is cofinite, so ``fan`` raises
+NotLocallyFinite there.  The crossing and triangle queries read fans
+instead of testing candidate arcs:
 
 * ``crossers(d)`` is empty for a member; otherwise every crossing member
   has exactly one endpoint v strictly inside d, so it is read off the fans
-  of d's inner vertices as the co-endpoints outside [d.m, d.n];
-* ``inner_vertex(t)`` is the largest fan neighbour of t.m below t.n (or
-  t.m + 1), which must be the smallest fan neighbour of t.n above t.m (or
-  t.n - 1), so a flip costs a few fan lookups whatever the width of t.
+  of d's inner vertices as the co-endpoints outside [d.m, d.n].  An arc
+  straddling the fountain raises InfiniteCrossers;
+* counter-clockwise at v the sides run v + 1, the co-endpoints above v
+  ascending, those below v ascending, then v - 1 (on a polygon the long
+  side closes the order: hi at lo, lo at hi).  The inner triangle of a
+  member t = (m, n) lies just clockwise of t at m and the outer triangle
+  just counter-clockwise; read at n the two swap, and the two readings
+  must agree.  So a flip costs two fan lookups whatever the width of t;
+  at the fountain vertex the neighbours are found by stepping past the
+  finitely many removed members.
 """
 
 from __future__ import annotations
@@ -85,11 +91,11 @@ class FountainBase(Frozen):
     def member(self, x: Arc) -> bool:
         return x.n == self.fountain or x.m == self.fountain
 
-    def partners(self, v: int) -> Tuple[Sequence[int], bool]:
+    def partners(self, v: int) -> Sequence[int]:
         f = self.fountain
         if v == f:
-            return (), False  # the fans at the fountain are infinite
-        return ((f,) if abs(v - f) >= 2 else ()), True
+            raise NotLocallyFinite(f"the fan at the fountain {f} is infinite")
+        return (f,) if abs(v - f) >= 2 else ()
 
     def members_in_window(self, lo: int, hi: int) -> List[Arc]:
         f = self.fountain
@@ -164,7 +170,7 @@ class StaircaseBase(Frozen):
             return self._ups[k] == self.entry.m - x.m
         return x.m + x.n in self._tail_sums
 
-    def partners(self, v: int) -> Tuple[Sequence[int], bool]:
+    def partners(self, v: int) -> Sequence[int]:
         w = len(self._ups)
         out = []
         for s in self._tail_sums:  # tail arcs: width >= w + 2, m + n a tail sum
@@ -179,7 +185,7 @@ class StaircaseBase(Frozen):
             # word arcs (m, v): the steps k < w with k - u(k) == v - n0
             c = v - n0
             out += [m0 - k + c for k in range(bisect_left(rights, c), bisect_left(rights, c + 1))]
-        return out, True
+        return out
 
     def members_in_window(self, lo: int, hi: int) -> List[Arc]:
         out = []
@@ -293,8 +299,8 @@ class PolygonBase(Frozen):
     def member(self, x: Arc) -> bool:
         return x in self.diagonals
 
-    def partners(self, v: int) -> Tuple[Sequence[int], bool]:
-        return tuple(d.n if d.m == v else d.m for d in self.diagonals if v in d), True
+    def partners(self, v: int) -> Sequence[int]:
+        return tuple(d.n if d.m == v else d.m for d in self.diagonals if v in d)
 
     def members_in_window(self, lo: int, hi: int) -> List[Arc]:
         return [d for d in self.diagonals if lo <= d.m and d.n <= hi]
@@ -329,9 +335,6 @@ class FlipResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-Fan = Tuple[Tuple[int, ...], bool]
-
-
 class Triangulation(Frozen):
     """Immutable triangulation value: base family plus a finite flip patch.
 
@@ -347,7 +350,7 @@ class Triangulation(Frozen):
         set_(self, "base", base)
         set_(self, "added", added)
         set_(self, "removed", removed)
-        set_(self, "_fans", {})  # vertex -> Fan
+        set_(self, "_fans", {})  # vertex -> fan
         set_(self, "_added_at", None)  # vertex -> co-endpoints of added members, on first use
 
     # the memo keys of `exchange._rec` hash and compare triangulations, so
@@ -421,22 +424,18 @@ class Triangulation(Frozen):
 
     # -- enumeration -------------------------------------------------------
 
-    def fan(self, v: int) -> Fan:
-        """Co-endpoints of the members at vertex v, ascending, and a complete flag.
-
-        The flag is False only at a fountain vertex, where the base fans are
-        infinite and only the added members are listed.  Computed once per
-        vertex.
-        """
+    def fan(self, v: int) -> Tuple[int, ...]:
+        """Co-endpoints of the members at vertex v, ascending; computed once
+        per vertex.  Raises NotLocallyFinite at a fountain vertex, whose fan
+        is infinite."""
         f = self._fans.get(v)
         if f is None:
-            base, complete = self.base.partners(v)
-            ends = set(base)
+            ends = set(self.base.partners(v))
             if self.added:
                 ends.update(self._added_index().get(v, ()))
             if self.removed:
                 ends = {w for w in ends if Arc(min(v, w), max(v, w)) not in self.removed}
-            f = self._fans[v] = (tuple(sorted(ends)), complete)
+            f = self._fans[v] = tuple(sorted(ends))
         return f
 
     def _added_index(self) -> Dict[int, List[int]]:
@@ -483,12 +482,13 @@ class Triangulation(Frozen):
         reaching right, farthest end first.
         """
         p, q = d
+        f = self.base.fountain
+        if f is not None and p < f < q:
+            raise InfiniteCrossers(f)
         fans = self._fans
         out: List[Arc] = []
         for v in range(p + 1, q):
-            ends, complete = fans.get(v) or self.fan(v)
-            if not complete:
-                raise InfiniteCrossers(v)
+            ends = fans.get(v) or self.fan(v)
             i = bisect_left(ends, p)
             if i:
                 out += [Arc(w, v) for w in reversed(ends[:i])]
@@ -514,69 +514,64 @@ class Triangulation(Frozen):
 
     # -- triangles and flips -------------------------------------------------
 
-    def inner_vertex(self, t: Arc) -> int:
-        """Third vertex of the triangle under member t.
+    def _around(self, v: int, w: int) -> Tuple[int, int]:
+        """Far ends of the sides just clockwise and just counter-clockwise
+        of the member (v, w) at v.
 
-        Seen from t.m it is the largest fan neighbour below t.n (t.m + 1
-        when there is none), seen from t.n the smallest fan neighbour above
-        t.m (t.n - 1); the two must agree.  A fountain vertex's fan is not
-        complete, so there only the other end is read, and both sides are
-        checked.
+        Counter-clockwise at v the sides run v + 1, the co-endpoints above
+        v ascending, those below v ascending, v - 1; on a polygon the long
+        side closes the order (hi at lo, lo at hi).  The fan at a fountain
+        vertex is cofinite, so there the sides are found by stepping from w
+        past the removed members.  Raises NotAMember unless (v, w) is a member.
         """
+        if v == self.base.fountain:
+            removed = self.removed
+            gone = lambda c: abs(c - v) >= 2 and Arc(min(v, c), max(v, c)) in removed  # noqa: E731
+            if abs(w - v) < 2 or gone(w):
+                raise NotAMember(f"{(min(v, w), max(v, w))} is not a member")
+            cw, ccw = w - 1, w + 1
+            while gone(cw):
+                cw -= 1
+            while gone(ccw):
+                ccw += 1
+            return cw, ccw
+        ends = self._fans.get(v) or self.fan(v)
+        i = bisect_left(ends, w)
+        if i == len(ends) or ends[i] != w:
+            raise NotAMember(f"{(min(v, w), max(v, w))} is not a member")
+        s = bisect_left(ends, v)  # ends[:s] lie below v, ends[s:] above
+        frame = self.base.frame
+        first = frame.m if frame is not None and v == frame.n else v + 1
+        last = frame.n if frame is not None and v == frame.m else v - 1
+        if w > v:
+            return (ends[i - 1] if i > s else first,
+                    ends[i + 1] if i + 1 < len(ends) else ends[0] if s else last)
+        return (ends[i - 1] if i else ends[-1] if s < len(ends) else first,
+                ends[i + 1] if i + 1 < s else last)
+
+    def _triangles(self, t: Arc) -> Tuple[int, int]:
+        """Third vertices (inner, outer) of the two triangles on member t.
+
+        At t.m the inner triangle lies just clockwise of t and the outer one
+        just counter-clockwise (`_around`); at t.n the two are swapped, and
+        the two readings must agree.  Raises NotAMember unless t is a member
+        and NotMaximal when the readings differ.
+        """
+        if not isinstance(t, Arc) or t.n - t.m < 2:
+            raise NotAMember(f"{tuple(t)} is not a member")
         m, n = t
-        ends_m, complete_m = self.fan(m)
-        ends_n, complete_n = self.fan(n)
-        seen = set()
-        if complete_m:
-            i = bisect_left(ends_m, n)
-            seen.add(ends_m[i - 1] if i and ends_m[i - 1] > m else m + 1)
-        if complete_n:
-            j = bisect_right(ends_n, m)
-            seen.add(ends_n[j] if j < len(ends_n) and ends_n[j] < n else n - 1)
-        if len(seen) != 1:
-            raise NotMaximal(f"expected one inner triangle at {tuple(t)}, found {sorted(seen)}")
-        v = seen.pop()
-        if not (complete_m and complete_n) and not (self.side_exists(m, v) and self.side_exists(v, n)):
-            raise NotMaximal(f"no inner triangle at {tuple(t)}")
-        return v
+        inner, outer = self._around(m, n)
+        if self._around(n, m) != (outer, inner):
+            raise NotMaximal(f"the triangles on {tuple(t)} differ as read from {m} and from {n}")
+        return inner, outer
+
+    def inner_vertex(self, t: Arc) -> int:
+        """Third vertex of the triangle under member t."""
+        return self._triangles(t)[0]
 
     def outer_vertex(self, t: Arc) -> int:
-        """Third vertex of the triangle on the far side of member t.
-
-        Over t it is t.m's first fan neighbour past t.n, which must be t.n's
-        last fan neighbour past t.n (t.n + 1 when there is none); under t
-        it is t.n's last fan neighbour before t.m, which must be t.m's first
-        (t.m - 1).  Exactly one of the two triangles exists.  A polygon's
-        long side counts as a side at its ends.  At a fountain vertex only
-        the other end is read, and both sides are checked.
-        """
-        a, b = t
-        ends_a, complete_a = self.fan(a)
-        ends_b, complete_b = self.fan(b)
-        if self.base.frame is not None:
-            lo, hi = self.base.frame
-            if a == lo:
-                ends_a += (hi,)
-            if b == hi:
-                ends_b = (lo,) + ends_b
-        i, j = bisect_right(ends_a, b), bisect_left(ends_b, a)
-        over = (ends_a[i] if i < len(ends_a) else None,
-                ends_b[-1] if ends_b and ends_b[-1] > b else b + 1)
-        under = (ends_a[0] if ends_a and ends_a[0] < a else a - 1,
-                 ends_b[j - 1] if j else None)
-        hits = set()
-        for from_a, from_b in (over, under):
-            if complete_a and complete_b:
-                if from_a == from_b:
-                    hits.add(from_a)
-                continue
-            x = from_a if complete_a else from_b
-            if x is not None and self.side_exists(min(a, x), max(a, x)) \
-                    and self.side_exists(min(b, x), max(b, x)):
-                hits.add(x)
-        if len(hits) != 1:
-            raise NotMaximal(f"expected one outer triangle at {tuple(t)}, found {sorted(hits)}")
-        return hits.pop()
+        """Third vertex of the triangle on the far side of member t."""
+        return self._triangles(t)[1]
 
     def flip(self, t: Arc) -> FlipResult:
         """Replace member t by the other diagonal of its quadrilateral.
@@ -585,10 +580,7 @@ class Triangulation(Frozen):
         `middle_c` pair is the one whose sides end at t's endpoints when the
         quad is oriented by increasing vertices.
         """
-        if not self.is_member(t):
-            raise NotAMember(f"{tuple(t)} is not a member")
-        v = self.inner_vertex(t)
-        x = self.outer_vertex(t)
+        v, x = self._triangles(t)
         q0, q1, q2, q3 = sorted((t.m, t.n, v, x))
         if (t.m, t.n) == (q0, q2):
             replacement = Arc(q1, q3)
@@ -616,7 +608,7 @@ class Triangulation(Frozen):
     def validate_window(self, lo: int, hi: int) -> Diagnosis:
         """Report crossing pairs and maximality gaps visible inside [lo, hi].
 
-        Raises ValueError on a window that holds no arc, hi - lo < 2.
+        Raises InvalidSpec on a window that holds no arc, hi - lo < 2.
         """
         check_window(lo, hi)
         frame = self.base.frame
@@ -646,12 +638,13 @@ class Triangulation(Frozen):
                vertices: Optional[Iterable[Arc]] = None) -> Quiver:
         """Quiver on the members of a finite region: arrows from shared triangles.
 
-        Raises ValueError on a window that holds no arc, hi - lo < 2.
+        Raises InvalidSpec on a window that holds no arc, hi - lo < 2, and
+        when an infinite model is given no window.
         """
         if vertices is None:
             if lo is None or hi is None:
                 if self.base.frame is None:
-                    raise ValueError("a window is required for infinite triangulations")
+                    raise InvalidSpec("a window is required for infinite triangulations")
                 lo, hi = self.base.frame
             check_window(lo, hi)
             vertices = self.members_in_window(lo, hi)
@@ -695,9 +688,9 @@ class Triangulation(Frozen):
 
 
 def check_window(lo: int, hi: int) -> None:
-    """Raise ValueError unless the window [lo, hi] holds an arc."""
+    """Raise InvalidSpec unless the window [lo, hi] holds an arc."""
     if hi - lo < 2:
-        raise ValueError(f"window [{lo},{hi}] holds no arc: need lo <= hi - 2")
+        raise InvalidSpec(f"window [{lo},{hi}] holds no arc: need lo <= hi - 2")
 
 
 def crossing_order(d: Arc, arcs: Iterable[Arc]) -> List[Arc]:

@@ -35,10 +35,9 @@ def scan_crossers(T, d):
 
     cands = set()
     for v in range(d.m + 1, d.n):
-        partners, complete = T.base.partners(v)
-        if not complete:
+        if v == T.base.fountain:
             raise InfiniteCrossers(v)
-        ends = set(partners)
+        ends = set(T.base.partners(v))
         ends.update(a.n if a.m == v else a.m for a in T.added if v in a)
         cands.update(Arc(min(v, w), max(v, w)) for w in ends)
     return crossing_order(d, [x for x in cands if T.is_member(x) and crosses(x, d)])

@@ -10,6 +10,7 @@ from infcc.arcs import Arc, Edge
 from infcc.cc_direct import cc_direct
 from infcc.errors import (
     FlipTargetNotMember,
+    InfccError,
     InfiniteCrossers,
     InvalidArc,
     InvalidSpec,
@@ -25,7 +26,7 @@ from infcc.ktheory import coindex, index
 from infcc.laurent import ONE
 from infcc.modules import count_submodules, g_module
 from infcc.reduction import cofinite_uspec_for
-from infcc.tilings import recurrence_window, tiling_window
+from infcc.tilings import Frontier, extend_frontier, recurrence_window, tiling_window
 from infcc.triangulation import (
     StaircaseBase,
     Triangulation,
@@ -244,9 +245,8 @@ def test_staircase_closed_form_matches_walk(anchor, word):
     for a in window_arcs(-30, 30):
         assert base.member(a) == (a in members), a
     for v in range(-30, 31):
-        partners, complete = base.partners(v)
         expected = [a.n if a.m == v else a.m for a in walk if v in a]
-        assert complete and sorted(partners) == sorted(expected), v
+        assert sorted(base.partners(v)) == sorted(expected), v
     assert sorted(base.members_in_window(-10, 10)) == sorted(
         a for a in walk if -10 <= a.m and a.n <= 10)
 
@@ -370,36 +370,67 @@ def _flipped_triangulations(seed):
 def test_fans_match_brute_force(seed):
     for T in _flipped_triangulations(seed):
         for v in range(-10, 11):
-            ends, complete = T.fan(v)
-            brute = brute_fan(T, v, -60, 60)
-            if complete:
-                assert list(ends) == brute, (T, v)
-            else:  # the fountain vertex: its added members only
-                assert T.classify().fountain == v
-                assert list(ends) == sorted(w for a in T.added if v in a for w in a if w != v)
-                assert set(ends) <= set(brute)
+            if v == T.base.fountain:  # an infinite fan
+                with pytest.raises(NotLocallyFinite):
+                    T.fan(v)
+                continue
+            assert list(T.fan(v)) == brute_fan(T, v, -60, 60), (T, v)
+
+
+def _assert_queries_match_the_scans(T, lo, hi):
+    """crossers, inner_vertex and outer_vertex on every arc of [lo, hi]."""
+    frame = T.base.frame
+    for d in window_arcs(lo, hi):
+        if frame is not None and not (frame.m <= d.m and d.n <= frame.n):
+            with pytest.raises(InvalidArc):
+                T.crossers(d)
+            continue
+        try:
+            expected = scan_crossers(T, d)
+        except InfiniteCrossers:
+            with pytest.raises(InfiniteCrossers):
+                T.crossers(d)
+            continue
+        assert T.crossers(d) == expected, (T, d)
+        if T.is_member(d):
+            assert [T.inner_vertex(d)] == scan_inner_vertex(T, d), (T, d)
+            assert [T.outer_vertex(d)] == scan_outer_vertex(T, d, *(frame or (-60, 60))), (T, d)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_crossers_and_triangles_match_the_scans(seed):
     for T in _flipped_triangulations(seed):
-        frame = T.base.frame
-        for d in window_arcs(-8, 9):
-            if frame is not None and not (frame.m <= d.m and d.n <= frame.n):
-                with pytest.raises(InvalidArc):
-                    T.crossers(d)
-                continue
-            try:
-                expected = scan_crossers(T, d)
-            except InfiniteCrossers:
-                with pytest.raises(InfiniteCrossers):
-                    T.crossers(d)
-                continue
-            assert T.crossers(d) == expected, (T, d)
-            if T.is_member(d):
-                assert [T.inner_vertex(d)] == scan_inner_vertex(T, d), (T, d)
-                lo, hi = frame or (-60, 60)
-                assert [T.outer_vertex(d)] == scan_outer_vertex(T, d, lo, hi), (T, d)
+        _assert_queries_match_the_scans(T, -8, 9)
+
+
+def test_runs_of_removed_members_at_the_fountain():
+    # three removed members on each side of the fountain vertex: the triangle
+    # queries there step over runs of them
+    flips = [(-2, 0), (-3, 0), (-4, 0), (0, 2), (0, 3), (0, 4)]
+    T, replacements = fountain(0), []
+    for t in flips:
+        res = T.flip(Arc(*t))
+        T = res.new_triangulation
+        replacements.append(res.replacement)
+    assert T == fountain(0, flips) and len(T.removed) == 6
+    _assert_queries_match_the_scans(T, -9, 9)
+    for r in reversed(replacements):
+        T = T.flip(r).new_triangulation
+    assert T == fountain(0)
+
+
+def test_triangle_queries_refuse_non_members():
+    with pytest.raises(NotAMember):
+        fountain(0).outer_vertex(Arc(-3, -1))
+    with pytest.raises(NotAMember):
+        polygon(0, 5, [(0, 2), (0, 3), (0, 4)]).inner_vertex(Arc(1, 4))
+    for T in _flipped_triangulations(0):
+        lo, hi = T.base.frame or (-8, 9)
+        for d in window_arcs(lo, hi):
+            if not T.is_member(d):
+                for query in (T.inner_vertex, T.outer_vertex, T.flip):
+                    with pytest.raises(NotAMember):
+                        query(d)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -531,6 +562,16 @@ def test_edges_off_the_frame_raise_invalid_arc():
 def test_base_constructors_raise_invalid_spec(make, message):
     with pytest.raises(InvalidSpec, match=message):
         make()
+
+
+def test_window_and_bbox_errors_are_typed():
+    Z = nested_zigzag(0)
+    calls = (lambda: tiling_window(Z, 5, 5), lambda: Z.validate_window(5, 5), lambda: Z.quiver(5, 5),
+             lambda: extend_frontier(Frontier("RU"), (3, 0, 0, 0)), Z.quiver)
+    for call in calls:
+        with pytest.raises(InfccError) as info:
+            call()
+        assert isinstance(info.value, InvalidSpec)
 
 
 def test_line_model_operations_refuse_other_families():
