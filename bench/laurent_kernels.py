@@ -6,8 +6,9 @@ Usage:
     python bench/laurent_kernels.py --baseline OLD/src   # OLD/src against this checkout
 
 Each of ROUNDS rounds runs one fresh child process per source tree
-(alternating, so both see the same drift in machine speed) and one cold
-``infcc verify --size full`` per tree.  A child times, on
+(alternating, so both see the same drift in machine speed; the tree that
+runs first alternates by round) and one cold ``infcc verify --size full``
+per tree.  A child times, on
 ``nested_zigzag(0)``:
 
 * ``mul`` and ``div_exact_variable`` on ``cc((2, 11))``, 2584 terms
@@ -19,7 +20,9 @@ Each of ROUNDS rounds runs one fresh child process per source tree
 * ``cc_k14``: ``cc((2, 10))`` on a fresh session, 14 crossers, 987 terms.
 
 A kernel figure is the median of its repetitions inside the child; the
-reported figure is the median over rounds.  Ratios are baseline / change.
+reported figure is the median over rounds, and ``quartiles`` holds the
+lower and upper quartile over rounds beside it.  Ratios are baseline /
+change.
 The result goes to ``BENCH_laurent.json`` at the repository root, with the
 machine and the Python version.
 """
@@ -111,12 +114,16 @@ def main(argv=None) -> int:
         trees = {"baseline": args.baseline.resolve(), **trees}
     samples = {name: {k: [] for k in KERNELS + ("verify_full_s",)} for name in trees}
     for r in range(ROUNDS):
-        for name, src in trees.items():
+        # alternate which tree runs first, so neither always runs on a warmer machine
+        for name in (list(trees) if r % 2 == 0 else list(reversed(trees))):
+            src = trees[name]
             for k, v in _child(src).items():
                 samples[name][k].append(v)
             samples[name]["verify_full_s"].append(_verify_seconds(src))
         print(f"round {r + 1}/{ROUNDS} done", file=sys.stderr)
     figures = {name: {k: statistics.median(v) for k, v in s.items()} for name, s in samples.items()}
+    quartiles = {name: {k: statistics.quantiles(v, n=4, method="inclusive")[::2] for k, v in s.items()}
+                 for name, s in samples.items()}
     result = {
         "machine": {
             "platform": platform.platform(),
@@ -132,6 +139,7 @@ def main(argv=None) -> int:
         "units": {**{k: "ms" for k in KERNELS}, "verify_full_s": "s"},
         "rounds": ROUNDS,
         "figures": figures,
+        "quartiles": quartiles,
         "samples": samples,
     }
     if "baseline" in figures:

@@ -6,7 +6,8 @@ Usage:
     python bench/triangle_queries.py --baseline OLD/src   # OLD/src against this checkout
 
 Each of ROUNDS rounds runs one fresh child process per source tree,
-alternating, so both see the same drift in machine speed.  A child times,
+alternating, so both see the same drift in machine speed; the tree that
+runs first alternates by round.  A child times,
 on ``nested_zigzag(0)`` unless named otherwise, and always on a freshly
 built triangulation value (so no per-value memo is warm):
 
@@ -32,7 +33,9 @@ built triangulation value (so no per-value memo is warm):
   102))``, nine cells about 100 rows and columns off the path.
 
 A figure is the median of its repetitions inside the child, and the
-reported figure is the median over rounds.  Ratios are baseline / change.
+reported figure is the median over rounds, with the lower and upper
+quartile over rounds beside it in ``quartiles``.  Ratios are baseline /
+change.
 The result goes to ``BENCH_triangle.json`` at the repository root, with the
 machine and the Python version.
 """
@@ -139,11 +142,15 @@ def main(argv=None) -> int:
         trees = {"baseline": args.baseline.resolve(), **trees}
     samples = {name: {} for name in trees}
     for r in range(ROUNDS):
-        for name, src in trees.items():
+        # alternate which tree runs first, so neither always runs on a warmer machine
+        for name in (list(trees) if r % 2 == 0 else list(reversed(trees))):
+            src = trees[name]
             for k, v in _child(src).items():
                 samples[name].setdefault(k, []).append(v)
         print(f"round {r + 1}/{ROUNDS} done", file=sys.stderr)
     figures = {name: {k: statistics.median(v) for k, v in s.items()} for name, s in samples.items()}
+    quartiles = {name: {k: statistics.quantiles(v, n=4, method="inclusive")[::2] for k, v in s.items()}
+                 for name, s in samples.items()}
     result = {
         "machine": {
             "platform": platform.platform(),
@@ -155,6 +162,7 @@ def main(argv=None) -> int:
         "units": {k: "ms" if "_ms_" in k else "us" for k in next(iter(figures.values()))},
         "rounds": ROUNDS,
         "figures": figures,
+        "quartiles": quartiles,
         "samples": samples,
     }
     if "baseline" in figures:

@@ -12,6 +12,7 @@ carry all the Hom/Ext information this package needs.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import NamedTuple, Union
 
 from .errors import InvalidArc
@@ -34,12 +35,42 @@ Seg = Union[Arc, Edge]
 class Frozen:
     """Mixin of the package's immutable value classes.
 
+    A subclass names its defining fields once, in `_fields`, each of them
+    a slot; one `operator.attrgetter` per class reads them.  Equality,
+    hashing and repr are derived from those fields alone: a value equals
+    only a value of its own class with equal fields (never a tuple), hashes
+    as the tuple of its fields and prints as ``Name(field=value, ...)``.
+    Slots left out of `_fields` hold derived data or memos and take no part
+    in any of them.
+
     Attribute assignment and deletion raise AttributeError, so a value
-    never changes once built; `__init__` sets the slots through
-    object.__setattr__.
+    never changes once built; `__init__` validates and then sets the slots
+    through `_set`, which is object.__setattr__.
     """
 
     __slots__ = ()
+    _fields = ()  # each value class names its own
+    _set = object.__setattr__
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("_fields")
+        if fields:  # `_key(value)` is the tuple of the field values
+            get = attrgetter(*fields)
+            cls._key = get if len(fields) > 1 else staticmethod(lambda value: (get(value),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
+        return f"{type(self).__name__}({args})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")

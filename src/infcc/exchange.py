@@ -16,7 +16,7 @@ the list shrinks at every level, which bounds the recursion.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 from .arcs import Arc, Frozen, Seg, crosses, seg
 from .errors import InvalidSpec, NotMaximal, Unreachable
@@ -54,28 +54,21 @@ class CCSession(Frozen):
     products never repack exponent keys.  The fields cannot be reassigned;
     the memo fills in place.  Not thread-safe; use one session per thread
     (computations on separate sessions are independent and embarrassingly
-    parallel).
+    parallel).  The repr shows `pivot` and `memo`; a session equals only
+    itself and is unhashable.
     """
 
     __slots__ = ("pivot", "memo", "index")
-
-    def __init__(self, pivot: str = "first", memo: Optional[Dict[tuple, LaurentPoly]] = None):
-        if pivot not in ("first", "last"):  # the recursion choice hook for tests
-            raise InvalidSpec(f"pivot must be 'first' or 'last', got {pivot!r}")
-        set_ = object.__setattr__
-        set_(self, "pivot", pivot)
-        set_(self, "memo", {} if memo is None else memo)
-        set_(self, "index", VarIndex())
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.pivot, self.memo, self.index) == (other.pivot, other.memo, other.index)
-
+    _fields = ("pivot", "memo")
+    __eq__ = object.__eq__  # identity: each session owns its memo and index
     __hash__ = None  # the memo fills in place
 
-    def __repr__(self):
-        return f"CCSession(pivot={self.pivot!r}, memo={self.memo!r})"
+    def __init__(self, pivot: str = "first"):
+        if pivot not in ("first", "last"):  # the recursion choice hook for tests
+            raise InvalidSpec(f"pivot must be 'first' or 'last', got {pivot!r}")
+        self._set("pivot", pivot)
+        self._set("memo", {})
+        self._set("index", VarIndex())
 
 
 def cc(T: Triangulation, d: Seg, session: Optional[CCSession] = None) -> LaurentPoly:

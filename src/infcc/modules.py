@@ -34,7 +34,7 @@ from .triangulation import Triangulation, arrow_between
 class StringModule(Frozen):
     """A walk of members and the direction of each structure map along it."""
 
-    __slots__ = ("walk", "dirs")
+    __slots__ = _fields = ("walk", "dirs")
 
     def __init__(self, walk: Tuple[Arc, ...], dirs: Tuple[int, ...]):
         if len(dirs) != max(len(walk) - 1, 0):
@@ -42,19 +42,8 @@ class StringModule(Frozen):
                                 f"{max(len(walk) - 1, 0)} directions, got {len(dirs)}")
         if len(set(walk)) != len(walk):
             raise InvalidModule("walks are multiplicity-free")
-        object.__setattr__(self, "walk", walk)
-        object.__setattr__(self, "dirs", dirs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.walk, self.dirs) == (other.walk, other.dirs)
-
-    def __hash__(self):
-        return hash((self.walk, self.dirs))
-
-    def __repr__(self):
-        return f"StringModule(walk={self.walk!r}, dirs={self.dirs!r})"
+        self._set("walk", walk)
+        self._set("dirs", dirs)
 
     @property
     def is_zero(self) -> bool:

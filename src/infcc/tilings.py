@@ -133,26 +133,14 @@ def verify_sl2(W: TilingWindow) -> List[Violation]:
 class Frontier(Frozen):
     """The staircase path of 1's through `origin` and `word` (`path_point`)."""
 
-    __slots__ = ("word", "anchor", "start")
+    __slots__ = _fields = ("word", "anchor", "start")
 
     def __init__(self, word: str, anchor: int = 0, start: Optional[Cell] = None):
         if any(ch not in "UR" for ch in word):
             raise NonAdmissibleFrontier(f"letters must be U/R, got {word!r}")
-        set_ = object.__setattr__
-        set_(self, "word", word)
-        set_(self, "anchor", anchor)
-        set_(self, "start", start)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.word, self.anchor, self.start) == (other.word, other.anchor, other.start)
-
-    def __hash__(self):
-        return hash((self.word, self.anchor, self.start))
-
-    def __repr__(self):
-        return f"Frontier(word={self.word!r}, anchor={self.anchor!r}, start={self.start!r})"
+        self._set("word", word)
+        self._set("anchor", anchor)
+        self._set("start", start)
 
     @property
     def origin(self) -> Cell:

@@ -29,7 +29,8 @@ or None) and ``fountain`` (the fountain vertex, or None).  `Triangulation`
 applies the flip patch on top of them; its guards ``check_arc``,
 ``check_seg``, ``require_polygon`` and ``require_locally_finite`` read the
 family facts.  The bases and `Triangulation` are immutable slotted values
-(`arcs.Frozen`); the returned records are NamedTuples.
+whose equality, hashing and repr `arcs.Frozen` derives from the fields each
+names in `_fields`; the returned records are NamedTuples.
 
 Fans
 ----
@@ -69,24 +70,13 @@ from .errors import (FlipTargetNotMember, InfiniteCrossers, InvalidArc, InvalidS
 
 
 class FountainBase(Frozen):
-    __slots__ = ("fountain",)
+    __slots__ = _fields = ("fountain",)
 
     kind = "fountain"
     frame: Optional[Arc] = None
 
     def __init__(self, fountain: int):
-        object.__setattr__(self, "fountain", fountain)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.fountain == other.fountain
-
-    def __hash__(self):
-        return hash((self.fountain,))
-
-    def __repr__(self):
-        return f"FountainBase(fountain={self.fountain!r})"
+        self._set("fountain", fountain)
 
     def member(self, x: Arc) -> bool:
         return x.n == self.fountain or x.m == self.fountain
@@ -123,10 +113,11 @@ class StaircaseBase(Frozen):
     would produce anyway are stripped, so equal families compare and hash
     equal.  Membership is closed form: a prefix count of U's for widths
     below len(word) + 2, and beyond m + n takes one of the two values in
-    `_tail_sums`.  Equality, hashing and repr read `entry` and `word`.
+    `_tail_sums`.  Its fields are `entry` and `word`.
     """
 
     __slots__ = ("entry", "word", "_ups", "_rights", "_tail_sums")
+    _fields = ("entry", "word")
 
     kind = "locally_finite"
     frame: Optional[Arc] = None
@@ -140,25 +131,13 @@ class StaircaseBase(Frozen):
         while word and word[-1] == path_letter(word[:-1], len(word) - 1):
             word = word[:-1]
         ups = tuple(itertools.accumulate((ch == "U" for ch in word), initial=0))[:-1]
-        set_ = object.__setattr__
-        set_(self, "entry", entry)
-        set_(self, "word", word)
-        set_(self, "_ups", ups)
-        set_(self, "_rights", tuple(k - u for k, u in enumerate(ups)))
+        self._set("entry", entry)
+        self._set("word", word)
+        self._set("_ups", ups)
+        self._set("_rights", tuple(k - u for k, u in enumerate(ups)))
         # beyond the word each step moves m + n by one, back and forth
         w = len(word)
-        set_(self, "_tail_sums", (sum(self.arc_at(w)), sum(self.arc_at(w + 1))))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.entry, self.word) == (other.entry, other.word)
-
-    def __hash__(self):
-        return hash((self.entry, self.word))
-
-    def __repr__(self):
-        return f"StaircaseBase(entry={self.entry!r}, word={self.word!r})"
+        self._set("_tail_sums", (sum(self.arc_at(w)), sum(self.arc_at(w + 1))))
 
     def arc_at(self, k: int) -> Arc:
         """The family arc of width k + 2: point k of the staircase path."""
@@ -256,12 +235,11 @@ def path_reach(word: str, c: str, a: int) -> int:
 
 
 class PolygonBase(Frozen):
-    """Diagonals of the polygon on {lo..hi}; `frame` is its long side.
-
-    Equality, hashing and repr read `lo`, `hi` and `diagonals`.
-    """
+    """Diagonals of the polygon on {lo..hi}; `frame` is its long side,
+    derived from the fields `lo`, `hi` and `diagonals`."""
 
     __slots__ = ("lo", "hi", "diagonals", "frame")
+    _fields = ("lo", "hi", "diagonals")
 
     kind = "finite_polygon"
     fountain: Optional[int] = None
@@ -279,22 +257,10 @@ class PolygonBase(Frozen):
                 raise InvalidSpec(f"diagonals {tuple(a)} and {tuple(b)} cross")
         if len(diagonals) != hi - lo - 2:
             raise InvalidSpec(f"a triangulation needs {hi - lo - 2} diagonals, got {len(diagonals)}")
-        set_ = object.__setattr__
-        set_(self, "lo", lo)
-        set_(self, "hi", hi)
-        set_(self, "diagonals", diagonals)
-        set_(self, "frame", Arc(lo, hi))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lo, self.hi, self.diagonals) == (other.lo, other.hi, other.diagonals)
-
-    def __hash__(self):
-        return hash((self.lo, self.hi, self.diagonals))
-
-    def __repr__(self):
-        return f"PolygonBase(lo={self.lo!r}, hi={self.hi!r}, diagonals={self.diagonals!r})"
+        self._set("lo", lo)
+        self._set("hi", hi)
+        self._set("diagonals", diagonals)
+        self._set("frame", Arc(lo, hi))
 
     def member(self, x: Arc) -> bool:
         return x in self.diagonals
@@ -338,33 +304,20 @@ class FlipResult(NamedTuple):
 class Triangulation(Frozen):
     """Immutable triangulation value: base family plus a finite flip patch.
 
-    Equality, hashing and repr read `base`, `added` and `removed` only, so
-    flips that undo each other give back an equal value.  The fan memo and
-    the added-member index are derived data and take no part in any of them.
+    Its fields are `base`, `added` and `removed`, so flips that undo each
+    other give back an equal value.  The fan memo and the added-member
+    index are derived data.
     """
 
     __slots__ = ("base", "added", "removed", "_fans", "_added_at")
+    _fields = ("base", "added", "removed")
 
     def __init__(self, base, added: frozenset = frozenset(), removed: frozenset = frozenset()):
-        set_ = object.__setattr__
-        set_(self, "base", base)
-        set_(self, "added", added)
-        set_(self, "removed", removed)
-        set_(self, "_fans", {})  # vertex -> fan
-        set_(self, "_added_at", None)  # vertex -> co-endpoints of added members, on first use
-
-    # the memo keys of `exchange._rec` hash and compare triangulations, so
-    # these stay direct tuple expressions
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.added, self.removed) == (other.base, other.added, other.removed)
-
-    def __hash__(self):
-        return hash((self.base, self.added, self.removed))
-
-    def __repr__(self):
-        return f"Triangulation(base={self.base!r}, added={self.added!r}, removed={self.removed!r})"
+        self._set("base", base)
+        self._set("added", added)
+        self._set("removed", removed)
+        self._set("_fans", {})  # vertex -> fan
+        self._set("_added_at", None)  # vertex -> co-endpoints of added members, on first use
 
     # -- membership --------------------------------------------------------
 
@@ -446,7 +399,7 @@ class Triangulation(Frozen):
             for a in self.added:
                 at.setdefault(a.m, []).append(a.n)
                 at.setdefault(a.n, []).append(a.m)
-            object.__setattr__(self, "_added_at", at)
+            self._set("_added_at", at)
         return at
 
     def members_in_window(self, lo: int, hi: int) -> List[Arc]:
@@ -509,7 +462,8 @@ class Triangulation(Frozen):
         return next((t for t in self.base.spanning_candidates(d) if t not in self.removed), None)
 
     def classify(self):
-        """The base family, which states `kind`, `frame` and `fountain`."""
+        """The base family, `self.base`; new code reads `base`.  Kept while
+        the benchmark workloads (`perfbench/workloads.py`) still call it."""
         return self.base
 
     # -- triangles and flips -------------------------------------------------

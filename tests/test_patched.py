@@ -64,7 +64,7 @@ def test_fountain_fan_flips_both_sides():
         T2 = res.new_triangulation
         assert not T2.is_member(t) and T2.is_member(res.replacement)
         assert T2.validate_window(-8, 8).ok
-        assert T2.classify().kind == "fountain"
+        assert T2.base.kind == "fountain"
         # reachability is untouched by finitely many flips
         assert not is_reachable(T2, Arc(-1, 1)).reachable
         with pytest.raises(Unreachable):

@@ -103,12 +103,13 @@ def test_validate_against_brute_force():
 
 
 def test_classify_examples():
-    assert fountain(0).classify().kind == "fountain"
-    assert fountain(0).classify().fountain == 0
-    assert nested_zigzag(0).classify().kind == "locally_finite"
+    assert fountain(0).base.kind == "fountain"
+    assert fountain(0).base.fountain == 0
+    assert nested_zigzag(0).base.kind == "locally_finite"
     flipped = fountain(0).flip(Arc(-2, 0)).new_triangulation
-    assert flipped.classify().kind == "fountain"
-    assert polygon(0, 4, [(0, 2), (0, 3)]).classify().kind == "finite_polygon"
+    assert flipped.base.kind == "fountain"
+    assert flipped.classify() is flipped.base
+    assert polygon(0, 4, [(0, 2), (0, 3)]).base.kind == "finite_polygon"
 
 
 def test_crossers_examples():

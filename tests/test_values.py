@@ -1,20 +1,26 @@
 """Value semantics of the immutable types.
 
 The bases, `Triangulation`, `StringModule`, `Frontier` and `CCSession` are
-slotted classes: fields cannot be reassigned, equality and hashing read the
-defining fields only, and no value compares equal to a plain tuple.  The
-returned records are NamedTuples.
+slotted `Frozen` classes: fields cannot be reassigned, equality, hashing
+and repr read the fields named in `_fields` only, and no value compares
+equal to a plain tuple.  A session equals only itself and is unhashable.
+The returned records are NamedTuples.
 """
+
+import importlib
+import pkgutil
 
 import pytest
 
-from infcc.arcs import Arc
+import infcc
+from infcc.arcs import Arc, Frozen
 from infcc.errors import InvalidModule, InvalidSpec
 from infcc.exchange import CCSession, cc, is_reachable
 from infcc.modules import StringModule, g_module, submodule_classes
 from infcc.reduction import reduce, u_of
 from infcc.tilings import Frontier, tiling_window
-from infcc.triangulation import FountainBase, PolygonBase, StaircaseBase, fountain, polygon, staircase
+from infcc.triangulation import (FountainBase, PolygonBase, StaircaseBase, Triangulation, fountain, polygon,
+                                 staircase)
 
 FAMILIES = {
     "fountain": (fountain(0), Arc(0, 2)),
@@ -91,8 +97,65 @@ def test_session_pivot_is_checked():
     session = CCSession(pivot="last")
     cc(fountain(0), Arc(1, 4), session)
     assert session.memo and session == session and session != CCSession(pivot="last")
+    assert CCSession() != CCSession()
     with pytest.raises(TypeError):
         hash(session)
+
+
+def test_a_session_subclass_keeps_identity_equality():
+    class Tracked(CCSession):  # as a tracer wraps it: a plain subclass
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+
+    session = Tracked()
+    assert session == session and session != Tracked()
+    with pytest.raises(TypeError):
+        hash(session)
+
+
+# values whose repr evaluates back to an equal value
+ROUND_TRIPS = {
+    **{f"{family}-base": T.base for family, (T, _) in FAMILIES.items()},
+    **{f"{family}-flipped": T.flip(t).new_triangulation for family, (T, t) in FAMILIES.items()},
+    "StringModule": g_module(FAMILIES["polygon"][0], Arc(1, 5)),
+    "Frontier": Frontier("URRU", 2),
+    "Frontier-start": Frontier("UR", 1, (-3, 4)),
+}
+NAMESPACE = {cls.__name__: cls for cls in (Arc, FountainBase, StaircaseBase, PolygonBase, Triangulation,
+                                           StringModule, Frontier)}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIPS)
+def test_repr_evaluates_to_an_equal_value(name):
+    v = ROUND_TRIPS[name]
+    back = eval(repr(v), NAMESPACE)
+    assert back is not v and back == v and hash(back) == hash(v)
+
+
+def _frozen_classes():
+    for info in pkgutil.iter_modules(infcc.__path__, "infcc."):
+        importlib.import_module(info.name)
+    seen, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in seen:
+                seen.add(sub)
+                todo.append(sub)
+    return {cls.__name__: cls for cls in seen if cls.__module__.startswith("infcc.")}
+
+
+def test_value_methods_come_from_frozen():
+    classes = _frozen_classes()
+    assert {"FountainBase", "StaircaseBase", "PolygonBase", "Triangulation", "StringModule",
+            "Frontier", "CCSession"} <= set(classes)
+    # the session's documented opt-outs: identity equality, no hash
+    opt_outs = {("CCSession", "__eq__"): object.__eq__, ("CCSession", "__hash__"): None}
+    for name, cls in classes.items():
+        for method in ("__eq__", "__hash__", "__repr__"):
+            expected = opt_outs.get((name, method), Frozen.__dict__[method])
+            assert getattr(cls, method) is expected, (name, method)
+        slots = {s for k in cls.__mro__ for s in k.__dict__.get("__slots__", ())}
+        assert cls._fields and set(cls._fields) <= slots, name
 
 
 # repr strings as the earlier dataclass versions printed them
