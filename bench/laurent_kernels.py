@@ -17,12 +17,16 @@ per tree.  A child times, on
   (``json.dumps(p.to_json())``, the call the CLI makes) on three answers:
   ``cc((2, 11))`` (the bare names), ``cc((2, 10))``, 987 terms (suffix
   ``_987``), and ``cc((2, 5))``, 8 terms (suffix ``_8``);
-* ``cc_k14``: ``cc((2, 10))`` on a fresh session, 14 crossers, 987 terms.
+* ``cc_k14``, ``cc_k22`` and ``cc_k26``: ``cc((2, 10))``, ``cc((2, 14))``
+  and ``cc((2, 16))`` on a fresh session, with 14, 22 and 26 crossers and
+  987, 46,368 and 317,811 terms; ``cc_k22_peak_mb`` and ``cc_k26_peak_mb``
+  are the ``tracemalloc`` peaks of one such call.
 
 A kernel figure is the median of its repetitions inside the child; the
 reported figure is the median over rounds, and ``quartiles`` holds the
 lower and upper quartile over rounds beside it.  Ratios are baseline /
-change.
+change; a ratio reads "unresolved" when the two trees' quartile ranges
+overlap (the medians stay in ``figures``).
 The result goes to ``BENCH_laurent.json`` at the repository root, with the
 machine and the Python version.
 """
@@ -37,14 +41,18 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_laurent.json"
 RENDERINGS = ("format_fraction", "to_json", "json_dumps")
 SIZES = {"": (11, 2584), "_987": (10, 987), "_8": (5, 8)}  # suffix: (n of arc (2, n), terms)
+CC_FRESH = {"cc_k14": 10, "cc_k22": 14, "cc_k26": 16}  # name: n of arc (2, n)
+PEAKS = ("cc_k22", "cc_k26")  # also measured for their tracemalloc peak
 KERNELS = ("mul", "div_exact_variable",
-           *(r + suffix for suffix in SIZES for r in RENDERINGS), "cc_k14")
+           *(r + suffix for suffix in SIZES for r in RENDERINGS), *CC_FRESH)
+FIGURES = KERNELS + tuple(name + "_peak_mb" for name in PEAKS) + ("verify_full_s",)
 ROUNDS = 5
 MIN_REPS, MIN_SECONDS = 3, 0.3
 
@@ -60,8 +68,18 @@ def _time(fn) -> float:
     return statistics.median(samples)
 
 
+def _peak_mb(fn) -> float:
+    """tracemalloc peak of one fn() call, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def measure() -> dict:
-    """Kernel figures (ms) for the infcc found on sys.path."""
+    """Kernel figures (ms, and MB for the peaks) for the infcc found on sys.path."""
     from infcc import CCSession, cc, format_fraction, nested_zigzag
     from infcc.arcs import Arc
 
@@ -76,13 +94,16 @@ def measure() -> dict:
     fns = {
         "mul": lambda: p * q,
         "div_exact_variable": lambda: p.div_exact_variable(u),
-        "cc_k14": lambda: cc(Z, Arc(2, 10), CCSession()),
+        **{name: lambda n=n: cc(Z, Arc(2, n), CCSession()) for name, n in CC_FRESH.items()},
     }
     for suffix, a in answers.items():
         fns["format_fraction" + suffix] = lambda a=a: format_fraction(a)
         fns["to_json" + suffix] = a.to_json
         fns["json_dumps" + suffix] = lambda a=a: json.dumps(a.to_json())
-    return {name: 1e3 * _time(fns[name]) for name in KERNELS}
+    out = {name: 1e3 * _time(fns[name]) for name in KERNELS}
+    for name in PEAKS:
+        out[name + "_peak_mb"] = _peak_mb(fns[name])
+    return out
 
 
 def _child(src: Path) -> dict:
@@ -112,7 +133,7 @@ def main(argv=None) -> int:
     trees = {"change": ROOT / "src"}
     if args.baseline is not None:
         trees = {"baseline": args.baseline.resolve(), **trees}
-    samples = {name: {k: [] for k in KERNELS + ("verify_full_s",)} for name in trees}
+    samples = {name: {k: [] for k in FIGURES} for name in trees}
     for r in range(ROUNDS):
         # alternate which tree runs first, so neither always runs on a warmer machine
         for name in (list(trees) if r % 2 == 0 else list(reversed(trees))):
@@ -132,11 +153,14 @@ def main(argv=None) -> int:
         },
         "python": platform.python_version(),
         "sizes": {
-            "family": "nested_zigzag(0)", "mul_by_terms": 8, "cc_k14_terms": 987, "cc_k14_arc": [2, 10],
+            "family": "nested_zigzag(0)", "mul_by_terms": 8,
+            "cc_k14_terms": 987, "cc_k22_terms": 46368, "cc_k26_terms": 317811,
+            **{name + "_arc": [2, n] for name, n in CC_FRESH.items()},
             **{"terms" + suffix: terms for suffix, (_, terms) in SIZES.items()},
             **{"arc" + suffix: [2, n] for suffix, (n, _) in SIZES.items()},
         },
-        "units": {**{k: "ms" for k in KERNELS}, "verify_full_s": "s"},
+        "units": {**{k: "ms" for k in KERNELS}, **{name + "_peak_mb": "MB" for name in PEAKS},
+                  "verify_full_s": "s"},
         "rounds": ROUNDS,
         "figures": figures,
         "quartiles": quartiles,
@@ -144,7 +168,10 @@ def main(argv=None) -> int:
     }
     if "baseline" in figures:
         base, new = figures["baseline"], figures["change"]
-        result["ratio_baseline_over_change"] = {k: base[k] / new[k] for k in base}
+        bq, cq = quartiles["baseline"], quartiles["change"]
+        result["ratio_baseline_over_change"] = {
+            k: "unresolved" if bq[k][0] <= cq[k][1] and cq[k][0] <= bq[k][1] else base[k] / new[k]
+            for k in base}
     OUT.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result.get("ratio_baseline_over_change", figures["change"]), indent=2))
     return 0

@@ -24,7 +24,8 @@ approximations: peaks give projective covers, valleys injective envelopes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from collections.abc import Mapping
+from typing import Dict, Iterable, Tuple, Union
 
 from .arcs import Arc, Seg, crosses
 from .errors import NotAMember, SupportMeetsU
@@ -95,16 +96,10 @@ class ModClass(_ArcVector):
 
 
 def theta_simple(T: Triangulation, t: Arc) -> SplitK0Class:
-    """theta of the simple class at member t: [c] - [c'] from its flip."""
-    res = T.flip(t)
-    out = SplitK0Class()
-    for s in res.middle_c:
-        if not T.is_boundary(s):
-            out = out + SplitK0Class({s: 1})
-    for s in res.middle_c_prime:
-        if not T.is_boundary(s):
-            out = out - SplitK0Class({s: 1})
-    return out
+    """theta of the simple class at member t: [c] - [c'] from its exchange."""
+    _, _, middle_c, middle_cp = T._exchange(t)
+    return SplitK0Class([(s, 1) for s in middle_c if not T.is_boundary(s)]
+                        + [(s, -1) for s in middle_cp if not T.is_boundary(s)])
 
 
 def theta(T: Triangulation, e: Union[ModClass, Mapping[Arc, int]]) -> SplitK0Class:

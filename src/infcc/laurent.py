@@ -17,11 +17,24 @@ repacking the one on the smaller index onto the larger, or onto a copy of
 the larger when it lacks some of their arcs.  Only a polynomial's maker
 appends to its index; operations never do.  Constants need no index.
 
+A polynomial is a term dict plus an integer offset `shift`, itself a packed
+key: a term's real key is its stored key + shift.  Multiplying by a
+one-term polynomial with coefficient 1 (a variable, a monomial, the
+constant 1) and dividing by a variable only add a constant to every key,
+so they return a value that shares the operand's dict at a new shift, in
+O(1).  A sum rebases the smaller operand by the difference of the shifts
+and copies the larger; a general product adds the two shifts once.  The
+dicts are never changed once built, so sharing them is safe.  Decoding
+folds the shift into the bias it adds anyway (below), and the public
+`terms` (real keys) is built on its first read of a shifted value and
+cached.
+
 Every polynomial carries a bound on |exponent|.  An operation whose result
 could leave the field range |e| <= MAX_EXPONENT raises ExponentOverflow;
 keys never wrap.  Keys are decoded in one pass per term: adding and then
-xor-ing the bias 2**(FIELD_BITS - 1) in every field turns a key into its
-fields' 32-bit two's complement bytes, read back as C ints.
+xor-ing the bias 2**(FIELD_BITS - 1) in every field turns a real key into
+its fields' 32-bit two's complement bytes, read back as C ints.  Only real
+keys decode field by field: a shift alone may have fields past the range.
 
 The presentations (`sorted_terms`, `to_json`, `format_fraction`, and
 through them `hash` and `repr`) share one row per term: every distinct
@@ -30,12 +43,12 @@ order, and a term's row is the string of its ids, so one string sort
 orders the terms and each factor is rendered once per call (`_rows`).
 
 Zero coefficients are never stored, so equality of term dicts on one index
-is equality of polynomials; equality and hashing hold across indices.
-Values are immutable by convention; every operation returns a fresh
-polynomial.  Coefficients use Python integers: cluster variable
-coefficients and tiling entries grow without bound.  The public exponent
-vector (`ExpVec`) is the sorted tuple of (Arc, exponent) pairs with all
-exponents nonzero, e.g.
+at one shift is equality of polynomials; equality and hashing hold across
+indices and shifts.  Values are immutable by convention; every operation
+returns a fresh polynomial, which may share its term dict with an operand.
+Coefficients use Python integers: cluster variable coefficients and tiling
+entries grow without bound.  The public exponent vector (`ExpVec`) is the
+sorted tuple of (Arc, exponent) pairs with all exponents nonzero, e.g.
 
     x[0,2]^2 * x[0,3]^-1  ->  ((Arc(0,2), 2), (Arc(0,3), -1))
 """
@@ -43,10 +56,11 @@ exponents nonzero, e.g.
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping
 from functools import reduce
 from itertools import chain, repeat
 from operator import itemgetter, or_
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .arcs import Arc
 from .errors import ExponentOverflow, InvalidArc, InvalidSpec, TooLarge
@@ -67,6 +81,12 @@ MAX_FACTORS = sys.maxunicode + 1 - _FIRST_ID  # distinct factors a rendering can
 _TERM_KEYS = {"coeff", "exps"}  # the keys of a term in the JSON form
 
 
+def _require_arc(a) -> None:
+    """InvalidArc unless a is an Arc (m, n) of integers with m <= n - 2."""
+    if not (type(a) is Arc and type(a.m) is int and type(a.n) is int and a.m <= a.n - 2):
+        raise InvalidArc(f"{a!r} is not an arc: a variable needs an Arc (m, n) with m <= n-2")
+
+
 class VarIndex:
     """Append-only map Arc -> slot shared by the polynomials built on it."""
 
@@ -80,9 +100,14 @@ class VarIndex:
         return len(self.arcs)
 
     def slot(self, a: Arc) -> int:
-        """The slot of a, appended when a is new."""
+        """The slot of a, appended when a is new.
+
+        Raises InvalidArc when a new a is not an Arc (m, n) of integers
+        with m <= n - 2.
+        """
         s = self.slots.get(a)
         if s is None:
+            _require_arc(a)
             s = self.slots[a] = len(self.arcs)
             self.arcs.append(a)
         return s
@@ -119,6 +144,7 @@ def _pack(exps: Iterable[Tuple[Arc, int]], index: VarIndex) -> Tuple[int, int]:
     bound = max(map(abs, acc.values()), default=0)
     if bound > MAX_EXPONENT:
         a = next(a for a, e in acc.items() if abs(e) == bound)
+        _require_arc(a)
         _check(bound, f"x[{a.m},{a.n}]^{acc[a]}")
     key = 0
     for a, e in acc.items():
@@ -127,12 +153,12 @@ def _pack(exps: Iterable[Tuple[Arc, int]], index: VarIndex) -> Tuple[int, int]:
     return key, bound
 
 
-def _decode(keys: Iterable[int], index: Optional[VarIndex]) -> Tuple[List[Arc], List[memoryview]]:
+def _decode(keys: Iterable[int], shift: int, index: Optional[VarIndex]) -> Tuple[List[Arc], List[memoryview]]:
     """(arcs, columns): the variables in Arc order and each one's exponents.
 
     One pass over the terms: column j lists the exponent of arcs[j] in every
-    term, in the order of `keys`; a variable occurring in no term is left
-    out.
+    term, the real key k + shift for each k of `keys`, in their order; a
+    variable occurring in no term is left out.
     """
     keys = list(keys)
     if index is None or not keys:
@@ -141,7 +167,8 @@ def _decode(keys: Iterable[int], index: Optional[VarIndex]) -> Tuple[List[Arc], 
     bias = _bias(n)
     width = _FIELD_BYTES * n
     byteorder = sys.byteorder
-    zs = [(k + bias) ^ bias for k in keys]
+    offset = shift + bias
+    zs = [(k + offset) ^ bias for k in keys]
     fields = memoryview(b"".join([z.to_bytes(width, byteorder) for z in zs])).cast("i")
     used = memoryview(reduce(or_, zs).to_bytes(width, byteorder)).cast("i")
     arcs = index.arcs
@@ -191,23 +218,24 @@ def _order(rows: List[str]) -> List[int]:
     return sorted(range(len(rows)), key=rows.__getitem__, reverse=True)
 
 
-def _repack(terms: Dict[int, int], src: VarIndex, dst: VarIndex) -> Tuple[Dict[int, int], VarIndex]:
-    """(terms, index): `terms` on `src` re-keyed on `dst`, or on a copy of
-    `dst` extended by the arcs it lacks.  Neither index changes."""
-    keys = list(terms)
-    arcs, columns = _decode(keys, src)
+def _repack(p: "LaurentPoly", dst: VarIndex) -> Tuple["LaurentPoly", VarIndex]:
+    """(value, index): p with keys valid on `dst`, or on a copy of `dst`
+    extended by the arcs it lacks.  Neither index changes."""
+    src = p.index
+    keys = list(p._terms)
+    arcs, columns = _decode(keys, p.shift, src)
     if all(dst.slots.get(a) == src.slots[a] for a in arcs):
-        return terms, dst
+        return p, dst
     dst = dst.extended(arcs)
     shifts = [FIELD_BITS * dst.slots[a] for a in arcs]
     out = {}
-    for row, c in zip(zip(*columns) if columns else ((),) * len(keys), terms.values()):
+    for row, c in zip(zip(*columns) if columns else ((),) * len(keys), p._terms.values()):
         out[sum(e << sh for e, sh in zip(row, shifts) if e)] = c
-    return out, dst
+    return _new(out, dst, p.bound), dst
 
 
 def _align(p: "LaurentPoly", q: "LaurentPoly"):
-    """(p.terms, q.terms, index): both term dicts keyed on one index.
+    """(p, q, index): the operands with keys valid on one index.
 
     The polynomial on the smaller index is repacked onto the larger one, or
     onto a copy of it when it lacks some arcs; keys on the larger index stay
@@ -216,19 +244,20 @@ def _align(p: "LaurentPoly", q: "LaurentPoly"):
     """
     i, j = p.index, q.index
     if i is j or j is None:
-        return p.terms, q.terms, i
+        return p, q, i
     if i is None:
-        return p.terms, q.terms, j
+        return p, q, j
     if len(i) >= len(j):
-        b, index = _repack(q.terms, j, i)
-        return p.terms, b, index
-    a, index = _repack(p.terms, i, j)
-    return a, q.terms, index
+        q, index = _repack(q, i)
+    else:
+        p, index = _repack(p, j)
+    return p, q, index
 
 
-def _new(terms: Dict[int, int], index: Optional[VarIndex], bound: int) -> "LaurentPoly":
+def _new(terms: Dict[int, int], index: Optional[VarIndex], bound: int, shift: int = 0) -> "LaurentPoly":
     p = object.__new__(LaurentPoly)
-    p.terms = terms
+    p._terms = terms
+    p.shift = shift
     p.index = index
     p.bound = bound
     return p
@@ -237,12 +266,16 @@ def _new(terms: Dict[int, int], index: Optional[VarIndex], bound: int) -> "Laure
 class LaurentPoly:
     """Immutable sparse Laurent polynomial over the integers.
 
-    `terms` maps packed exponent keys on `index` to nonzero coefficients,
-    so `len(p.terms)` is the number of monomials; `bound` is at least the
-    largest |exponent|.
+    `_terms` maps packed keys to nonzero coefficients, and a term's real
+    exponent key on `index` is its key + `shift`; the dict may be shared
+    with other values at other shifts.  Products by a one-term value of
+    coefficient 1 and `div_exact_variable` are O(1): they share the dict.
+    `terms` maps the real keys to the coefficients, so `len(p.terms)` is
+    the number of monomials; for a shifted value it is built on the first
+    read and cached.  `bound` is at least the largest |exponent|.
     """
 
-    __slots__ = ("terms", "index", "bound")
+    __slots__ = ("_terms", "shift", "index", "bound", "_real")
 
     def __init__(self, terms: Optional[Mapping[ExpVec, int]] = None,
                  index: Optional[VarIndex] = None):
@@ -260,9 +293,22 @@ class LaurentPoly:
             k, b = _pack(exps, index)
             bound = max(bound, b)
             acc[k] = acc.get(k, 0) + c
-        self.terms: Dict[int, int] = {k: v for k, v in acc.items() if v}
+        self._terms: Dict[int, int] = {k: v for k, v in acc.items() if v}
+        self.shift = 0
         self.index = None if fresh and not len(index) else index
         self.bound = bound
+
+    @property
+    def terms(self) -> Dict[int, int]:
+        """{real packed key: coefficient}, one entry per monomial."""
+        shift = self.shift
+        if not shift:
+            return self._terms
+        try:
+            return self._real
+        except AttributeError:
+            real = self._real = {k + shift: v for k, v in self._terms.items()}
+            return real
 
     # -- constructors ------------------------------------------------------
 
@@ -290,18 +336,26 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b, index = _align(self, other)
+        p, q, index = _align(self, other)
+        if len(p._terms) < len(q._terms):
+            p, q = q, p
+        a, b = p._terms, q._terms
+        step = q.shift - p.shift
         acc = dict(a)
-        for k, v in b.items():
-            c = acc.get(k, 0) + v
-            if c:
-                acc[k] = c
-            else:
-                del acc[k]
-        return _new(acc, index, max(self.bound, other.bound))
+        acc.update(zip(map(step.__add__, b), b.values()) if step else b)
+        if len(acc) < len(a) + len(b):  # some keys met: add their coefficients
+            for k, v in b.items():
+                k += step
+                if k in a:
+                    c = a[k] + v
+                    if c:
+                        acc[k] = c
+                    else:
+                        del acc[k]
+        return _new(acc, index, max(self.bound, other.bound), p.shift)
 
     def __neg__(self) -> "LaurentPoly":
-        return _new({k: -v for k, v in self.terms.items()}, self.index, self.bound)
+        return _new({k: -v for k, v in self._terms.items()}, self.index, self.bound, self.shift)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -310,18 +364,22 @@ class LaurentPoly:
         if isinstance(other, int):
             if not other:
                 return _new({}, None, 0)
-            return _new({k: v * other for k, v in self.terms.items()}, self.index, self.bound)
+            return _new({k: v * other for k, v in self._terms.items()}, self.index, self.bound, self.shift)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         bound = self.bound + other.bound
         if bound > MAX_EXPONENT:
             bound = _check(self._tighten() + other._tighten(), "product")
-        a, b, index = _align(self, other)
+        p, q, index = _align(self, other)
+        a, b = p._terms, q._terms
+        shift = p.shift + q.shift
         if len(a) > len(b):
             a, b = b, a
         if len(a) == 1:
             (k1, v1), = a.items()
-            return _new({k1 + k: v1 * v for k, v in b.items()}, index, bound)
+            if v1 == 1:  # a monomial: the other dict, shifted
+                return _new(b, index, bound, shift + k1)
+            return _new({k: v1 * v for k, v in b.items()}, index, bound, shift + k1)
         acc: Dict[int, int] = {}
         for k1, v1 in a.items():
             for k2, v2 in b.items():
@@ -330,40 +388,49 @@ class LaurentPoly:
                     acc[k] += v1 * v2
                 else:
                     acc[k] = v1 * v2
-        return _new({k: v for k, v in acc.items() if v}, index, bound)
+        if 0 in acc.values():
+            acc = {k: v for k, v in acc.items() if v}
+        return _new(acc, index, bound, shift)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return False
-        if len(self.terms) != len(other.terms):
+        if len(self._terms) != len(other._terms):
             return False
-        a, b, _ = _align(self, other)
-        return a == b
+        p, q, _ = _align(self, other)
+        step = p.shift - q.shift
+        if not step:
+            return p._terms == q._terms
+        get = q._terms.get
+        return all(get(k + step) == v for k, v in p._terms.items())
 
     def __hash__(self):
         return hash(frozenset(self.sorted_terms()))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def _tighten(self) -> int:
         """Replace `bound` by the exact largest |exponent|."""
-        _, columns = _decode(self.terms, self.index)
+        _, columns = _decode(self._terms, self.shift, self.index)
         self.bound = max((max(max(col), -min(col)) for col in columns), default=0)
         return self.bound
 
     # -- specialisations ---------------------------------------------------
 
     def div_exact_variable(self, t: Arc) -> "LaurentPoly":
-        """Divide by the single variable x_t; always exact in a Laurent ring."""
+        """Divide by the single variable x_t; always exact in a Laurent ring.
+
+        O(1): the quotient shares this value's dict.
+        """
         bound = self.bound + 1
         if bound > MAX_EXPONENT:
             bound = _check(self._tighten() + 1, f"division by x[{t.m},{t.n}]")
         index = VarIndex() if self.index is None else self.index.extended((t,))
         step = 1 << (FIELD_BITS * index.slot(t))
-        return _new({k - step: v for k, v in self.terms.items()}, index, bound)
+        return _new(self._terms, index, bound, self.shift - step)
 
     def substitute_unit(self, members: Union[Callable[[Arc], bool], Iterable[Arc]]) -> "LaurentPoly":
         """Set x_a = 1 for every arc a selected by `members` (set or predicate)."""
@@ -380,9 +447,10 @@ class LaurentPoly:
             return self
         keep = ~drop
         bias = _bias(n)
+        offset = self.shift + bias
         acc: Dict[int, int] = {}
-        for k, v in self.terms.items():
-            k2 = ((((k + bias) ^ bias) & keep) ^ bias) - bias
+        for k, v in self._terms.items():
+            k2 = ((((k + offset) ^ bias) & keep) ^ bias) - bias
             c = acc.get(k2, 0) + v
             if c:
                 acc[k2] = c
@@ -392,16 +460,16 @@ class LaurentPoly:
 
     def eval_all_ones(self) -> int:
         """Value after setting every variable equal to 1."""
-        return sum(self.terms.values())
+        return sum(self._terms.values())
 
     # -- inspection --------------------------------------------------------
 
     def variables(self) -> set:
-        return set(_decode(self.terms, self.index)[0])
+        return set(_decode(self._terms, self.shift, self.index)[0])
 
     def min_exponents(self) -> Dict[Arc, int]:
         """Per-variable minimum exponent over all terms (0 counts when absent)."""
-        arcs, columns = _decode(self.terms, self.index)
+        arcs, columns = _decode(self._terms, self.shift, self.index)
         return {a: min(col) for a, col in zip(arcs, columns)}
 
     def denominator_support(self) -> set:
@@ -409,14 +477,14 @@ class LaurentPoly:
         return {a for a, e in self.min_exponents().items() if e < 0}
 
     def coefficients(self):
-        return list(self.terms.values())
+        return list(self._terms.values())
 
     # -- presentation ------------------------------------------------------
 
     def sorted_terms(self) -> List[Tuple[ExpVec, int]]:
         """(exponent vector, coefficient) pairs, exponent vectors descending."""
-        factors, rows = _rows(len(self.terms), *_decode(self.terms, self.index))
-        coeffs = list(self.terms.values())
+        factors, rows = _rows(len(self._terms), *_decode(self._terms, self.shift, self.index))
+        coeffs = list(self._terms.values())
         return [(tuple(map(factors.__getitem__, rows[i])), coeffs[i]) for i in _order(rows)]
 
     def __str__(self) -> str:
@@ -432,9 +500,9 @@ class LaurentPoly:
         pair, which json.dumps writes as [[m, n], e]; they are immutable, so
         sharing them is safe.
         """
-        factors, rows = _rows(len(self.terms), *_decode(self.terms, self.index))
+        factors, rows = _rows(len(self._terms), *_decode(self._terms, self.shift, self.index))
         shared = {c: ((a.m, a.n), e) for c, (a, e) in factors.items()}
-        coeffs = list(self.terms.values())
+        coeffs = list(self._terms.values())
         return [{"coeff": coeffs[i], "exps": list(map(shared.__getitem__, rows[i]))}
                 for i in _order(rows)]
 
@@ -504,18 +572,18 @@ def format_fraction(p: LaurentPoly) -> str:
     decoded once, and each column is read relative to its denominator
     exponent.
     """
-    if not p.terms:
+    if not p._terms:
         return "0"
-    arcs, columns = _decode(p.terms, p.index)
+    arcs, columns = _decode(p._terms, p.shift, p.index)
     lows = [min(min(col), 0) for col in columns]
     den = {}
     for a, col, lo in zip(arcs, columns, lows):
         if lo < 0:
             _check(max(col) - lo, f"numerator exponent of x[{a.m},{a.n}]")
             den[a] = -lo
-    factors, rows = _rows(len(p.terms), arcs, columns, lows)
+    factors, rows = _rows(len(p._terms), arcs, columns, lows)
     names = {c: _factor(a, e) for c, (a, e) in factors.items()}
-    coeffs = list(p.terms.values())
+    coeffs = list(p._terms.values())
     parts = []
     for i in _order(rows):
         c = coeffs[i]

@@ -527,6 +527,16 @@ class Triangulation(Frozen):
         """Third vertex of the triangle on the far side of member t."""
         return self._triangles(t)[1]
 
+    def _exchange(self, t: Arc) -> Tuple[Tuple[int, int, int, int], Arc, Tuple[Seg, Seg], Tuple[Seg, Seg]]:
+        """(quad, replacement, middle_c, middle_c_prime) of the flip at
+        member t (see `flip`), without building the flipped triangulation."""
+        v, x = self._triangles(t)
+        q0, q1, q2, q3 = quad = tuple(sorted((t.m, t.n, v, x)))
+        if (t.m, t.n) == (q0, q2):
+            return quad, Arc(q1, q3), (seg(q1, q2), seg(q0, q3)), (seg(q0, q1), seg(q2, q3))
+        # the outer vertex lies below t.m: t is (q1, q3)
+        return quad, Arc(q0, q2), (seg(q0, q1), seg(q2, q3)), (seg(q1, q2), seg(q0, q3))
+
     def flip(self, t: Arc) -> FlipResult:
         """Replace member t by the other diagonal of its quadrilateral.
 
@@ -534,16 +544,7 @@ class Triangulation(Frozen):
         `middle_c` pair is the one whose sides end at t's endpoints when the
         quad is oriented by increasing vertices.
         """
-        v, x = self._triangles(t)
-        q0, q1, q2, q3 = sorted((t.m, t.n, v, x))
-        if (t.m, t.n) == (q0, q2):
-            replacement = Arc(q1, q3)
-            middle_c = (seg(q1, q2), seg(q0, q3))
-            middle_cp = (seg(q0, q1), seg(q2, q3))
-        else:  # the outer vertex lies below t.m: t is (q1, q3)
-            replacement = Arc(q0, q2)
-            middle_c = (seg(q0, q1), seg(q2, q3))
-            middle_cp = (seg(q1, q2), seg(q0, q3))
+        quad, replacement, middle_c, middle_cp = self._exchange(t)
         added = set(self.added)
         removed = set(self.removed)
         if t in added:
@@ -555,7 +556,7 @@ class Triangulation(Frozen):
         else:
             added.add(replacement)
         new = Triangulation(self.base, frozenset(added), frozenset(removed))
-        return FlipResult(new, t, replacement, (q0, q1, q2, q3), middle_c, middle_cp)
+        return FlipResult(new, t, replacement, quad, middle_c, middle_cp)
 
     # -- validation and quiver ------------------------------------------------
 

@@ -1,7 +1,7 @@
 import pytest
 
 from infcc.arcs import Arc, Edge
-from infcc.errors import SupportMeetsU
+from infcc.errors import NotAMember, SupportMeetsU
 from infcc.ktheory import (
     ModClass,
     SplitK0Class,
@@ -15,6 +15,7 @@ from infcc.ktheory import (
 from infcc.modules import g_module, submodule_classes
 from infcc.reduction import reduce, u_of
 from infcc.triangulation import (
+    Triangulation,
     all_polygon_triangulations,
     fountain,
     polygon,
@@ -36,6 +37,20 @@ def test_theta_simple_pentagon():
 def test_theta_simple_fountain():
     # quad (-3,-2,-1,0): both middle terms on the c-side are boundary
     assert theta_simple(fountain(0), Arc(-2, 0)) == k(((-3, 0), -1))
+
+
+def test_theta_simple_reads_the_middle_terms_without_flipping(monkeypatch):
+    """theta_simple agrees with the middle terms of `flip` and builds no flipped triangulation."""
+    P = polygon(0, 7, [(0, 2), (0, 4), (2, 4), (4, 7), (4, 6)])
+    expected = {}
+    for t in sorted(P.members_in_window(0, 7)):
+        res = P.flip(t)
+        expected[t] = (SplitK0Class([(s, 1) for s in res.middle_c if not P.is_boundary(s)])
+                       - SplitK0Class([(s, 1) for s in res.middle_c_prime if not P.is_boundary(s)]))
+    monkeypatch.setattr(Triangulation, "flip", lambda self, t: pytest.fail("theta_simple flipped"))
+    assert {t: theta_simple(P, t) for t in expected} == expected
+    with pytest.raises(NotAMember):
+        theta_simple(P, Arc(1, 3))
 
 
 def test_theta_linearity():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from infcc import laurent
-from infcc.arcs import Arc
+from infcc.arcs import Arc, Edge
 from infcc.errors import ExponentOverflow, InvalidArc, InvalidSpec, TooLarge
 from infcc.exchange import CCSession, cc
 from infcc.laurent import MAX_EXPONENT, ONE, LaurentPoly, VarIndex, format_fraction
@@ -201,6 +201,108 @@ def test_products_across_indices(pairs):
     (p, rp), (q, rq), (r, rr) = pairs
     same((p * q) * r, (rp * rq) * rr)
     same(p * (q + r), rp * (rq + rr))
+
+
+# -- offsets: values that share a term dict at different shifts --------------------
+
+def on_index(p):
+    """p's index, or a fresh one for a constant."""
+    return VarIndex() if p.index is None else p.index
+
+
+@st.composite
+def shifted(draw):
+    """(value, oracle): a polynomial times a monomial of coefficient 1 on its
+    index, then divided by some variables, so its dict sits at an offset."""
+    (p, ref), = draw(poly_pairs(1))
+    exps = draw(st.lists(st.tuples(st.sampled_from(POOL), st.integers(-BIG, BIG)), max_size=3))
+    p = p * LaurentPoly.monomial(exps, on_index(p))
+    ref = ref * NaiveLaurent([(exps, 1)])
+    for t in draw(st.lists(st.sampled_from(POOL), max_size=3)):
+        p, ref = p.div_exact_variable(t), ref.div_exact_variable(t)
+    return p, ref
+
+
+@given(shifted(), shifted())
+def test_shifted_sums_and_products_match_oracle(a, b):
+    (p, rp), (q, rq) = a, b
+    same(p, rp)
+    same(p + q, rp + rq)
+    same(p * q, rp * rq)
+    same(p - p, NaiveLaurent())
+    assert (p == q) == (rp.terms == rq.terms)
+
+
+@given(shifted())
+def test_shifted_terms_are_the_real_keys(pair):
+    p, ref = pair
+    unshifted = LaurentPoly(ref.terms, p.index)  # the same value at shift 0
+    assert p.terms == unshifted.terms and len(p.terms) == len(ref.terms)
+    assert p == unshifted and hash(p) == hash(unshifted)
+
+
+@given(poly_pairs(1), st.lists(st.sampled_from(POOL), max_size=4))
+def test_monomial_chain_returns_to_the_value(pairs, arcs):
+    (p, ref), = pairs
+    index = on_index(p)
+    q = p
+    for t in arcs:
+        q = q * x(t, index)
+    for t in reversed(arcs):
+        q = q.div_exact_variable(t)
+    assert q == p and hash(q) == hash(p)
+    assert len(q.terms) == len(ref.terms)
+    same(q, ref)
+
+
+@given(shifted(), st.sampled_from(POOL))
+def test_shared_dict_reads_the_same_afterwards(pair, t):
+    p, ref = pair
+    terms, text = dict(p.terms), format_fraction(p)
+    up = p * x(t, on_index(p))  # shares p's dict
+    down = p.div_exact_variable(t)  # shares it too
+    same(up + down, ref * NaiveLaurent([(((t, 1),), 1)]) + ref.div_exact_variable(t))
+    same(up * down, ref * ref)
+    assert p.terms == terms and format_fraction(p) == text
+    same(p, ref)
+
+
+def test_monomial_products_and_divisions_share_the_dict():
+    index = VarIndex()
+    p = x(A, index) + x(B, index) * 3
+    for q in (p * x(C, index), x(C, index) * p, p * ONE, p.div_exact_variable(A),
+              p * LaurentPoly.monomial({A: 2, C: -1}, index)):
+        assert q._terms is p._terms
+
+
+def test_division_chain_past_the_limit():
+    """`bound` follows a shared dict through divisions, so the limit still holds."""
+    p = (x(A) + x(B)) * LaurentPoly.monomial({A: -(MAX_EXPONENT - 4)})
+    for _ in range(4):
+        p = p.div_exact_variable(A)
+    assert p.min_exponents()[A] == -MAX_EXPONENT
+    assert format_fraction(p) == f"(x[0,3] + x[0,2])/x[0,2]^{MAX_EXPONENT}"
+    with pytest.raises(ExponentOverflow):
+        p.div_exact_variable(A)
+
+
+# -- variables must be arcs ----------------------------------------------------------
+
+NOT_ARCS = [(0, 2), Edge(1), Arc(0, 1), Arc(3, 4), "x[0,2]"]
+
+
+@pytest.mark.parametrize("v", NOT_ARCS, ids=repr)
+@pytest.mark.parametrize("make", [
+    lambda v: LaurentPoly.variable(v),
+    lambda v: LaurentPoly.monomial({v: 1}),
+    lambda v: LaurentPoly.monomial({v: MAX_EXPONENT + 1}),
+    lambda v: LaurentPoly({((v, 2),): 1}),
+    lambda v: x(B).div_exact_variable(v),
+    lambda v: ONE.div_exact_variable(v),
+], ids=["variable", "monomial", "monomial_past_limit", "constructor", "div", "div_constant"])
+def test_non_arc_variables_refused(make, v):
+    with pytest.raises(InvalidArc):
+        make(v)
 
 
 def test_session_values_share_one_index():
