@@ -1,13 +1,8 @@
 """Triangle-query benchmark: flips, crossers and tilings, two source trees.
 
-Usage:
+Usage: ``python bench/triangle_queries.py [--baseline OLD/src]`` (see harness.py).
 
-    python bench/triangle_queries.py                      # this checkout only
-    python bench/triangle_queries.py --baseline OLD/src   # OLD/src against this checkout
-
-Each of ROUNDS rounds runs one fresh child process per source tree,
-alternating, so both see the same drift in machine speed; the tree that
-runs first alternates by round.  A child times,
+Each round runs one fresh child process per source tree.  A child times,
 on ``nested_zigzag(0)`` unless named otherwise, and always on a freshly
 built triangulation value (so no per-value memo is warm):
 
@@ -32,30 +27,18 @@ built triangulation value (so no per-value memo is warm):
 * ``frontier_ms_off100``: ``extend_frontier(Frontier("RU"), (100, 100, 102,
   102))``, nine cells about 100 rows and columns off the path.
 
-A figure is the median of its repetitions inside the child, and the
-reported figure is the median over rounds, with the lower and upper
-quartile over rounds beside it in ``quartiles``.  Ratios are baseline /
-change.
+A figure is the median of its repetitions inside the child.  Rounds,
+quartiles and ratios are those of harness.py.
 The result goes to ``BENCH_triangle.json`` at the repository root, with the
 machine and the Python version.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import statistics
-import subprocess
-import sys
-import time
-from pathlib import Path
+from harness import ROOT, child, compare, time_median
 
-ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_triangle.json"
 ROUNDS = 9
-MIN_REPS, MIN_SECONDS = 3, 0.3
 FLIP_WIDTHS = (4, 16, 64, 200_001)
 MEMBER_WIDTHS = (2_001, 20_001, 200_001)
 KS = range(4, 15)
@@ -64,19 +47,6 @@ RECURRENCE_HALF_WIDTHS = (16, 20)
 FRONTIER_HALF_WIDTHS = (8, 16, 32, 48)
 POLYGON12 = [(0, 2), (0, 5), (2, 5), (3, 5), (5, 11), (5, 8), (6, 8), (8, 11), (9, 11)]
 FOUNTAIN_RUNS = [(-2, 0), (-3, 0), (-4, 0), (0, 2), (0, 3), (0, 4)]
-
-
-def _time(make, fn) -> float:
-    """Median seconds of fn(make()) over at least MIN_REPS calls and MIN_SECONDS;
-    make() runs outside the timed region."""
-    samples = []
-    start = time.perf_counter()
-    while len(samples) < MIN_REPS or time.perf_counter() - start < MIN_SECONDS:
-        arg = make()
-        t = time.perf_counter()
-        fn(arg)
-        samples.append(time.perf_counter() - t)
-    return statistics.median(samples)
 
 
 def _arc_crossing(Z, k):
@@ -100,78 +70,33 @@ def measure() -> dict:
     at = fresh().base.arc_at  # the member of width k + 2
     out = {}
     for w in FLIP_WIDTHS:
-        out[f"flip_us_w{w}"] = 1e6 * _time(fresh, lambda T, t=at(w - 2): T.flip(t))
+        out[f"flip_us_w{w}"] = 1e6 * time_median(fresh, lambda T, t=at(w - 2): T.flip(t))
     for name, make, (lo, hi) in (("polygon12", lambda: polygon(0, 11, POLYGON12), (0, 11)),
                                  ("fountain_runs", lambda: fountain(0, FOUNTAIN_RUNS), (-6, 6))):
         members = make().members_in_window(lo, hi)
-        out[f"flip_us_{name}"] = 1e6 * _time(make, lambda T, ms=members: [T.flip(t) for t in ms]) / len(members)
+        out[f"flip_us_{name}"] = 1e6 * time_median(make, lambda T, ms=members: [T.flip(t) for t in ms]) / len(members)
     for w in MEMBER_WIDTHS:
-        out[f"crossers_member_ms_w{w}"] = 1e3 * _time(fresh, lambda T, t=at(w - 2): T.crossers(t))
+        out[f"crossers_member_ms_w{w}"] = 1e3 * time_median(fresh, lambda T, t=at(w - 2): T.crossers(t))
     for k in KS:
         d = _arc_crossing(fresh(), k)
-        out[f"crossers_us_k{k}"] = 1e6 * _time(fresh, lambda T, d=d: T.crossers(d))
+        out[f"crossers_us_k{k}"] = 1e6 * time_median(fresh, lambda T, d=d: T.crossers(d))
     for h in TILING_HALF_WIDTHS:
         cells = (2 * h - 1) * 2 * h // 2
-        out[f"tiling_us_per_cell_h{h}"] = 1e6 * _time(fresh, lambda T, h=h: tiling_window(T, -h, h)) / cells
+        out[f"tiling_us_per_cell_h{h}"] = 1e6 * time_median(fresh, lambda T, h=h: tiling_window(T, -h, h)) / cells
     for h in RECURRENCE_HALF_WIDTHS:
-        out[f"recurrence_ms_h{h}"] = 1e3 * _time(fresh, lambda T, h=h: recurrence_window(T, -h, h))
+        out[f"recurrence_ms_h{h}"] = 1e3 * time_median(fresh, lambda T, h=h: recurrence_window(T, -h, h))
     for h in FRONTIER_HALF_WIDTHS:
         cells = (2 * h + 1) ** 2
-        out[f"frontier_us_per_cell_h{h}"] = 1e6 * _time(
+        out[f"frontier_us_per_cell_h{h}"] = 1e6 * time_median(
             lambda: Frontier("RRUURRRUUR"), lambda F, h=h: extend_frontier(F, (-h, -h, h, h))) / cells
-    out["frontier_ms_off100"] = 1e3 * _time(
+    out["frontier_ms_off100"] = 1e3 * time_median(
         lambda: Frontier("RU"), lambda F: extend_frontier(F, (100, 100, 102, 102)))
     return out
 
 
-def _child(src: Path) -> dict:
-    """measure() in a fresh interpreter that imports infcc from `src`."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    code = f"import json, runpy; print(json.dumps(runpy.run_path({__file__!r})['measure']()))"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--baseline", type=Path, help="src directory of the tree to compare against")
-    args = ap.parse_args(argv)
-    trees = {"change": ROOT / "src"}
-    if args.baseline is not None:
-        trees = {"baseline": args.baseline.resolve(), **trees}
-    samples = {name: {} for name in trees}
-    for r in range(ROUNDS):
-        # alternate which tree runs first, so neither always runs on a warmer machine
-        for name in (list(trees) if r % 2 == 0 else list(reversed(trees))):
-            src = trees[name]
-            for k, v in _child(src).items():
-                samples[name].setdefault(k, []).append(v)
-        print(f"round {r + 1}/{ROUNDS} done", file=sys.stderr)
-    figures = {name: {k: statistics.median(v) for k, v in s.items()} for name, s in samples.items()}
-    quartiles = {name: {k: statistics.quantiles(v, n=4, method="inclusive")[::2] for k, v in s.items()}
-                 for name, s in samples.items()}
-    result = {
-        "machine": {
-            "platform": platform.platform(),
-            "processor": platform.processor() or platform.machine(),
-            "cpu_count": os.cpu_count(),
-        },
-        "python": platform.python_version(),
-        "family": "nested_zigzag(0) unless the figure names another, a fresh value per timed call",
-        "units": {k: "ms" if "_ms_" in k else "us" for k in next(iter(figures.values()))},
-        "rounds": ROUNDS,
-        "figures": figures,
-        "quartiles": quartiles,
-        "samples": samples,
-    }
-    if "baseline" in figures:
-        base, new = figures["baseline"], figures["change"]
-        result["ratio_baseline_over_change"] = {k: base[k] / new[k] for k in base}
-    OUT.write_text(json.dumps(result, indent=2) + "\n")
-    print(json.dumps(result.get("ratio_baseline_over_change", figures["change"]), indent=2))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    compare(
+        __doc__, OUT, ROUNDS,
+        lambda trees: {name: child(__file__, src) for name, src in trees.items()},
+        family="nested_zigzag(0) unless the figure names another, a fresh value per timed call",
+        unit="us, or ms where the figure's name says _ms_")

@@ -122,12 +122,3 @@ def shift(x: Seg, k: int) -> Seg:
     if isinstance(x, Edge):
         return Edge(x.i - k)
     return Arc(x.m - k, x.n - k)
-
-
-def hom_nonzero(a: Arc, b: Arc) -> bool:
-    """Nonvanishing of maps a -> b in the line model.
-
-    Chosen so that Hom(a, shift(b, 1)) != 0 iff crosses(a, b), matching the
-    crossing/extension dictionary.
-    """
-    return crosses(a, shift(b, -1))

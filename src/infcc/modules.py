@@ -52,21 +52,22 @@ class StringModule(Frozen):
     def __len__(self) -> int:
         return len(self.walk)
 
-    def peaks(self) -> List[Arc]:
-        """Vertices with no structure map into them (the top of the module)."""
-        k = len(self.walk)
+    def _turns(self, sign: int) -> List[Arc]:
+        """Walk vertices, in walk order, whose step before has direction -sign and
+        step after has sign: the peaks for sign +1, the valleys for -1."""
+        k, dirs = len(self.walk), self.dirs
         return [
             v for i, v in enumerate(self.walk)
-            if (i == 0 or self.dirs[i - 1] == -1) and (i == k - 1 or self.dirs[i] == +1)
+            if (i == 0 or dirs[i - 1] == -sign) and (i == k - 1 or dirs[i] == sign)
         ]
+
+    def peaks(self) -> List[Arc]:
+        """Vertices with no structure map into them (the top of the module)."""
+        return self._turns(+1)
 
     def valleys(self) -> List[Arc]:
         """Vertices with no structure map out of them (the socle)."""
-        k = len(self.walk)
-        return [
-            v for i, v in enumerate(self.walk)
-            if (i == 0 or self.dirs[i - 1] == +1) and (i == k - 1 or self.dirs[i] == -1)
-        ]
+        return self._turns(-1)
 
     def total_class(self) -> dict:
         return {v: 1 for v in self.walk}

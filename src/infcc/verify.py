@@ -306,25 +306,24 @@ def criterion_10_mutation(rng, size: str) -> Result:
     bases = [fountain(0), nested_zigzag(0),
              polygon(0, 7, sorted(all_polygon_triangulations(0, 7)[0]))]
     for k in range(n_seq):
-        T0 = bases[k % len(bases)]
-        T = T0
+        T = bases[k % len(bases)]
         replacements = []
         for _ in range(rng.randint(1, 8)):
             pool = T.members_in_window(-7, 8)
             res = T.flip(rng.choice(pool))
             replacements.append(res.replacement)
             T = res.new_triangulation
+        if k % 97 == 0:  # the quiver of the flipped triangulation, before the walk is undone
+            Q = T.quiver() if T.is_polygon else T.quiver(-5, 6)
+            seen = set()
+            for a, b in Q.arrows:
+                if a == b or (b, a) in seen:
+                    return ("mutation involution", False, f"loop or 2-cycle in quiver of sequence {k}")
+                seen.add((a, b))
         for r in reversed(replacements):
             T = T.flip(r).new_triangulation
         if T.added or T.removed:
             return ("mutation involution", False, f"sequence {k} did not restore")
-        if k % 97 == 0:
-            Q = T0.quiver(-5, 6) if not T0.is_polygon else T0.quiver()
-            seen = set()
-            for a, b in Q.arrows:
-                if a == b or (b, a) in seen:
-                    return ("mutation involution", False, "loop or 2-cycle in quiver")
-                seen.add((a, b))
     return ("mutation involution", True, f"{n_seq} flip sequences restored")
 
 

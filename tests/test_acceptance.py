@@ -22,3 +22,20 @@ def test_acceptance_criterion(number, criterion):
     name, ok, detail = criterion(random.Random(SEED + number), "full")
     print(f"[{'PASS' if ok else 'FAIL'}] {number:2d} {name}: {detail}")
     assert ok, f"criterion {number} ({name}): {detail}"
+
+
+def test_criterion_10_checks_flipped_quivers(monkeypatch):
+    # the loop and 2-cycle check must read flipped triangulations, not the bases
+    from infcc.triangulation import Triangulation
+
+    patched = []
+    quiver = Triangulation.quiver
+
+    def spy(self, *window):
+        patched.append(bool(self.added or self.removed))
+        return quiver(self, *window)
+
+    monkeypatch.setattr(Triangulation, "quiver", spy)
+    name, ok, detail = verify.criterion_10_mutation(random.Random(SEED + 10), "quick")
+    assert ok, detail
+    assert any(patched), patched

@@ -1,7 +1,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from infcc.arcs import Arc, Edge, arc, crosses, hom_nonzero, seg, shift, spans
+from infcc.arcs import Arc, Edge, arc, crosses, seg, shift, spans
 
 import pytest
 
@@ -62,9 +62,3 @@ def test_shift_preserves_crossing(a, b, k):
 @given(arcs(), st.integers(-8, 8), st.integers(-8, 8))
 def test_shift_composes(a, j, k):
     assert shift(shift(a, j), k) == shift(a, j + k)
-
-
-@given(arcs(), arcs())
-def test_hom_rule_matches_extensions(a, b):
-    # maps into the shift of b exist exactly when the arcs cross
-    assert hom_nonzero(a, shift(b, 1)) == crosses(a, b)
