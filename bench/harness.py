@@ -7,7 +7,8 @@ first alternates by round, so neither always runs on a warmer machine.  The
 reported figure is the median over rounds, beside the lower and upper
 quartile (``quartiles``) and every round (``samples``).  A ratio is baseline
 / change of the medians; it reads "unresolved" unless every round of one
-tree beat every round of the other.
+tree beat every round of the other, and 1.0 when every round of both trees
+read the same value (a deterministic figure such as a tracemalloc peak).
 """
 
 from __future__ import annotations
@@ -66,7 +67,10 @@ def time_median(make, fn) -> float:
 
 
 def ratio(base: list, new: list):
-    """Median of base / median of new, or "unresolved" when the two ranges overlap."""
+    """Median of base / median of new, or "unresolved" when the two ranges
+    overlap; 1.0 when every round of both trees reads one value."""
+    if len({*base, *new}) == 1:
+        return 1.0
     if max(base) < min(new) or max(new) < min(base):
         return statistics.median(base) / statistics.median(new)
     return "unresolved"

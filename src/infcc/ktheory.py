@@ -20,6 +20,9 @@ socle of the module of c itself,
 
 where rotate is the cyclic polygon shift.  Both reduce to minimal
 approximations: peaks give projective covers, valleys injective envelopes.
+Substituting rotate(c, 1) gives coindex(rotate(c, 1)) = -index(c) on every
+segment c, and a caller that holds module(c) builds only the module of
+rotate(c, -1) for the index (`_index_of`).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Dict, Iterable, Tuple, Union
 
 from .arcs import Arc, Seg, crosses
 from .errors import NotAMember, SupportMeetsU
-from .modules import g_module
+from .modules import StringModule, g_module
 from .triangulation import Triangulation
 
 
@@ -120,13 +123,16 @@ def _class_of(arcs: Iterable[Arc]) -> SplitK0Class:
 def index(P: Triangulation, c: Seg) -> SplitK0Class:
     """Index of c relative to the polygon triangulation P."""
     P.require_polygon("index")
-    if P.is_boundary(c):
-        return SplitK0Class()
-    if P.is_member(c):
-        return SplitK0Class({c: 1})
+    return _index_of(P, c, g_module(P, c))
+
+
+def _index_of(P: Triangulation, c: Seg, M: StringModule) -> SplitK0Class:
+    """Index of c given its module M = g_module(P, c), which is zero exactly
+    when c is boundary or a member."""
+    if M.is_zero:
+        return SplitK0Class() if P.is_boundary(c) else SplitK0Class({c: 1})
     tops = g_module(P, P.rotate(c, -1)).peaks()
-    socle = g_module(P, c).valleys()
-    return _class_of(tops) - _class_of(socle)
+    return _class_of(tops) - _class_of(M.valleys())
 
 
 def coindex(P: Triangulation, c: Seg) -> SplitK0Class:

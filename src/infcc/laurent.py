@@ -328,8 +328,25 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(alpha: Exponents, index: Optional[VarIndex] = None) -> "LaurentPoly":
-        """The monomial x^alpha for a finitely supported exponent map."""
-        return LaurentPoly({tuple(alpha.items() if isinstance(alpha, Mapping) else alpha): 1}, index)
+        """The monomial x^alpha for a finitely supported exponent map.
+
+        A Mapping has each arc once, so its key is packed in one pass; an
+        iterable of pairs may repeat an arc, whose exponents add up.
+        """
+        if not isinstance(alpha, Mapping):
+            return LaurentPoly({tuple(alpha): 1}, index)
+        fresh = index is None
+        if fresh:
+            index = VarIndex()
+        key = bound = 0
+        for a, e in alpha.items():
+            if e:
+                key += e << (FIELD_BITS * index.slot(a))
+                bound = max(bound, abs(e))
+        if bound > MAX_EXPONENT:
+            a, e = next((a, e) for a, e in alpha.items() if abs(e) == bound)
+            _check(bound, f"x[{a.m},{a.n}]^{e}")
+        return _new({key: 1}, None if fresh and not len(index) else index, bound)
 
     # -- ring structure ----------------------------------------------------
 

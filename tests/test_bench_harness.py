@@ -18,7 +18,15 @@ def test_overlapping_ranges_are_unresolved_even_when_quartiles_part():
     new = [6.0] * 8 + [11.0]
     # the quartile ranges, [10, 10] and [6, 6], do not overlap; the full ranges do
     assert harness.ratio(base, new) == "unresolved"
-    assert harness.ratio(base, base) == "unresolved"
+    assert harness.ratio(base, base) == "unresolved"  # equal, but not one value
+
+
+def test_an_exact_tie_on_every_round_is_a_ratio_of_one():
+    assert harness.ratio([12.184012] * 5, [12.184012] * 5) == 1.0
+    assert harness.ratio([3], [3, 3, 3]) == 1.0
+    # one differing round anywhere leaves overlapping ranges unresolved
+    assert harness.ratio([12.184012] * 4 + [12.2], [12.184012] * 5) == "unresolved"
+    assert harness.ratio([12.184012] * 5, [12.184012] * 4 + [12.1]) == "unresolved"
 
 
 def test_a_ratio_when_every_round_of_one_tree_beats_the_other():

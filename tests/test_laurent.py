@@ -45,6 +45,25 @@ def test_monomial_examples():
     assert LaurentPoly({((A, 1), (A, -1)): 4}).index is None
 
 
+@given(st.dictionaries(st.sampled_from([A, B, C]), st.integers(-MAX_EXPONENT, MAX_EXPONENT)))
+def test_a_mapping_packs_like_the_general_constructor(alpha):
+    """The one-pass packing of a Mapping gives the key, the bound and the
+    index of the general constructor, on a shared index and on a fresh one."""
+    index = VarIndex()
+    fast = LaurentPoly.monomial(alpha, index)
+    general = LaurentPoly({tuple(alpha.items()): 1}, index)
+    assert (fast.terms, fast.bound, fast.index) == (general.terms, general.bound, index)
+    fast, general = LaurentPoly.monomial(alpha), LaurentPoly({tuple(alpha.items()): 1})
+    assert fast == general and fast.bound == general.bound
+    assert (fast.index is None) == (general.index is None) == (not any(alpha.values()))
+
+
+def test_monomial_overflow_names_the_arc():
+    index = VarIndex()
+    with pytest.raises(ExponentOverflow, match=rf"x\[0,3\]\^-{MAX_EXPONENT + 1}"):
+        LaurentPoly.monomial({A: 1, B: -MAX_EXPONENT - 1}, index)
+
+
 def test_monomial_multiplicative():
     a = {A: 2, B: -1}
     b = {B: 3, C: 1}

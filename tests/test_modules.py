@@ -95,6 +95,26 @@ def test_cc_direct_examples():
     assert cc_direct(PENT, Arc(1, 4)) == expected
 
 
+def test_cc_direct_builds_the_module_of_c_and_of_its_rotation_only(monkeypatch):
+    """The index monomial reuses the module of c: two modules for a
+    non-member diagonal, the zero module alone for a member."""
+    built = []
+
+    def spy(T, c):
+        built.append(c)
+        return g_module(T, c)
+
+    for name in ("infcc.modules", "infcc.ktheory", "infcc.cc_direct"):
+        monkeypatch.setattr(sys.modules[name], "g_module", spy)
+    P = polygon(0, 7, [(0, 2), (0, 4), (2, 4), (4, 7), (4, 6)])
+    for c in polygon_diagonals(0, 7):
+        built.clear()
+        value = cc_direct(P, c)
+        assert value == cc(P, c), c
+        expected = [c] if P.is_member(c) else [c, P.rotate(c, -1)]
+        assert sorted(built) == sorted(expected), c
+
+
 def test_cc_direct_matches_exchange_exhaustively():
     for hi in (4, 5):
         for diag in all_polygon_triangulations(0, hi):
