@@ -49,7 +49,7 @@ POLYGON12 = [(0, 2), (0, 5), (2, 5), (3, 5), (5, 11), (5, 8), (6, 8), (8, 11), (
 FOUNTAIN_RUNS = [(-2, 0), (-3, 0), (-4, 0), (0, 2), (0, 3), (0, 4)]
 
 
-def _arc_crossing(Z, k):
+def arc_crossing(Z, k):
     """The first arc (m, n), by width and then m, that crosses exactly k members of Z."""
     from infcc.arcs import Arc
 
@@ -78,7 +78,7 @@ def measure() -> dict:
     for w in MEMBER_WIDTHS:
         out[f"crossers_member_ms_w{w}"] = 1e3 * time_median(fresh, lambda T, t=at(w - 2): T.crossers(t))
     for k in KS:
-        d = _arc_crossing(fresh(), k)
+        d = arc_crossing(fresh(), k)
         out[f"crossers_us_k{k}"] = 1e6 * time_median(fresh, lambda T, d=d: T.crossers(d))
     for h in TILING_HALF_WIDTHS:
         cells = (2 * h - 1) * 2 * h // 2

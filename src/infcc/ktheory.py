@@ -9,7 +9,10 @@ Two kinds of integer vectors indexed by arcs:
 theta sends a simple class to [c] - [c'] where c, c' are the two exchange
 middle terms of the corresponding flip; the sign convention is pinned by
 the pentagon value theta([S_{(0,2)}]) = +[(0,3)] for the triangulation
-{(0,2), (0,3)} and matches the quiver arrow orientation.
+{(0,2), (0,3)} and matches the quiver arrow orientation.  `theta_simple`
+reads the two triangles on a member off its fans; `theta_walk` reads them
+off the walk of a string module, and both hand the quad to the one flip
+rule, `triangulation.exchange_rule`.
 
 Index and coindex are computed on finite polygon models through the module
 category: the index of c reads the top of the module of maps into c and the
@@ -28,12 +31,12 @@ rotate(c, -1) for the index (`_index_of`).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Iterable, Iterator, Tuple, Union
 
-from .arcs import Arc, Seg, crosses
+from .arcs import Arc, Seg
 from .errors import NotAMember, SupportMeetsU
 from .modules import StringModule, g_module
-from .triangulation import Triangulation
+from .triangulation import Triangulation, exchange_rule
 
 
 class _ArcVector:
@@ -98,11 +101,61 @@ class ModClass(_ArcVector):
     pass
 
 
+def _middle_difference(T: Triangulation, middle_c, middle_cp) -> Dict[Arc, int]:
+    """[c] - [c'] as coefficients, from the sides of the two middle terms as
+    vertex pairs (`exchange_rule`); boundary sides are dropped."""
+    frame = T.base.frame
+    out = {}
+    for sign, sides in ((1, middle_c), (-1, middle_cp)):
+        for a, b in sides:
+            if b - a > 1 and (a, b) != frame:
+                out[Arc(a, b)] = sign
+    return out
+
+
 def theta_simple(T: Triangulation, t: Arc) -> SplitK0Class:
     """theta of the simple class at member t: [c] - [c'] from its exchange."""
-    _, _, middle_c, middle_cp = T._exchange(t)
-    return SplitK0Class([(s, 1) for s in middle_c if not T.is_boundary(s)]
-                        + [(s, -1) for s in middle_cp if not T.is_boundary(s)])
+    _, _, middle_c, middle_cp = exchange_rule(t, *T._triangles(t))
+    return SplitK0Class(_middle_difference(T, middle_c, middle_cp))
+
+
+def theta_walk(P: Triangulation, c: Seg, M: StringModule) -> Iterator[Dict[Arc, int]]:
+    """theta of the simple at each vertex of M = g_module(P, c), in walk order.
+
+    The triangles on walk vertex t are the one it shares with the vertex
+    before and the one it shares with the vertex after; each third vertex is
+    the end of that neighbour not on t, and c.m and c.n at the two ends of
+    the walk.  So the quad of t's flip needs no fan lookup (`exchange_rule`).
+    g_module checked the triangles between walk neighbours.  At an end of
+    the walk whose triangle lacks a side, theta_simple reads t's triangles
+    itself, so NotMaximal carries theta_simple's message.
+    """
+    walk = M.walk
+    last = len(walk) - 1
+    for i, t in enumerate(walk):
+        # a neighbour u shares one end with t; the other end of u is a third vertex
+        if i:
+            u = walk[i - 1]
+            before = u.n if u.m in t else u.m
+        else:
+            before = c.m
+        if i < last:
+            u = walk[i + 1]
+            after = u.n if u.m in t else u.m
+        else:
+            after = c.n
+        if ((i == 0 and not _closes_triangle(P, t, before))
+                or (i == last and not _closes_triangle(P, t, after))):
+            yield theta_simple(P, t).coeffs
+            continue
+        _, _, middle_c, middle_cp = exchange_rule(t, before, after)
+        yield _middle_difference(P, middle_c, middle_cp)
+
+
+def _closes_triangle(T: Triangulation, t: Arc, x: int) -> bool:
+    """True when the sides from x to both ends of t are present."""
+    m, n = t
+    return T.side_exists(min(x, m), max(x, m)) and T.side_exists(min(x, n), max(x, n))
 
 
 def theta(T: Triangulation, e: Union[ModClass, Mapping[Arc, int]]) -> SplitK0Class:
@@ -156,17 +209,3 @@ def kappa_embed(e: SplitK0Class, u_contains) -> SplitK0Class:
         if test(a):
             raise SupportMeetsU(f"class touches the reduced-away member {tuple(a)}")
     return SplitK0Class(dict(e.coeffs))
-
-
-def hom_vanishes_polygon(P: Triangulation, d: Arc, targets: Iterable[Arc], k: int) -> bool:
-    """No maps from d into the k-th rotational shift of any target arc.
-
-    Polygon counterpart of the perpendicularity test: maps d -> rotate(u, k)
-    exist exactly when d crosses rotate(u, k - 1).
-    """
-    P.require_polygon("hom_vanishes_polygon")
-    for u in targets:
-        w = P.rotate(u, k - 1)
-        if isinstance(w, Arc) and crosses(d, w):
-            return False
-    return True

@@ -9,7 +9,20 @@ and the direction of each structure map:
     dirs[i] = -1  means the map sends the value at walk[i+1] into walk[i]
 
 A quiver arrow a -> b acts contravariantly, i.e. it induces a structure map
-from the value at b into the value at a.
+from the value at b into the value at a (`walk_dirs` reads the arrows).
+
+`g_module` reads the directions off the ends of the crossers instead (the
+snake-graph picture of Musiker-Schiffler-Williams, "Positivity for cluster
+algebras from surfaces", Adv. Math. 2011).  Each crosser of c = (p, q) has
+one end strictly inside (p, q), its inner end, and one outside [p, q], its
+outer end.  Two crossing-consecutive members share one end:
+
+    a shared inner end:  dirs = -1, the third side joins the outer ends
+    a shared outer end:  dirs = +1, the third side joins the inner ends
+
+On a triangulation that is not maximal, g_module raises NotMaximal when two
+consecutive crossers share no end or the third side is not a member or
+boundary, exactly where `walk_dirs` finds no arrow.
 
 Submodules are subsets of walk vertices closed under the structure maps.
 Every sum over them is one two-state transfer along the walk,
@@ -88,12 +101,34 @@ def g_module(T: Triangulation, c: Seg) -> StringModule:
     """The string module of c: supported on the members crossing c.
 
     Zero (empty walk) exactly when c is a member or boundary.  Propagates
-    InfiniteCrossers when c straddles a fountain.
+    InfiniteCrossers when c straddles a fountain.  The directions follow
+    the end rule of the module docstring; NotMaximal when two consecutive
+    crossers share no end or the third side of their triangle is missing.
     """
     if T.is_boundary(c) or T.is_member(c):
         return StringModule((), ())
-    walk = tuple(T.crossers(c))
-    return StringModule(walk, walk_dirs(T, walk))
+    walk = T.crossers(c)
+    p, side_exists = c.m, T.side_exists
+    dirs = []
+    a = ia = oa = None  # the crosser before b, its inner end and its outer end
+    for b in walk:
+        ib, ob = b
+        if ib < p:  # b reaches left of c: its inner end is b.n
+            ib, ob = ob, ib
+        if a is not None:
+            if ia == ib:  # a shared inner end: the third side joins the outer ends
+                d, x, y = -1, oa, ob
+                if x > y:
+                    x, y = y, x
+            elif oa == ob:  # a shared outer end: the inner ends ascend along the walk
+                d, x, y = 1, ia, ib
+            else:
+                d = None
+            if d is None or not side_exists(x, y):
+                raise NotMaximal(f"consecutive walk vertices {tuple(a)}, {tuple(b)} share no triangle")
+            dirs.append(d)
+        a, ia, oa = b, ib, ob
+    return StringModule(tuple(walk), tuple(dirs))
 
 
 def submodule_sum(M: StringModule, ys: Iterable, one):

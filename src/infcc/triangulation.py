@@ -65,6 +65,8 @@ from .arcs import Arc, Edge, Frozen, Seg, arc, crosses, seg, spans
 from .errors import (FlipTargetNotMember, InfiniteCrossers, InvalidArc, InvalidSpec, NotAMember,
                      NotAPolygon, NotLocallyFinite, NotMaximal, UnknownFamily, WrongFamily)
 
+Pair = Tuple[int, int]  # the ends a < b of an arc or a boundary segment
+
 # ---------------------------------------------------------------------------
 # base families
 
@@ -527,24 +529,15 @@ class Triangulation(Frozen):
         """Third vertex of the triangle on the far side of member t."""
         return self._triangles(t)[1]
 
-    def _exchange(self, t: Arc) -> Tuple[Tuple[int, int, int, int], Arc, Tuple[Seg, Seg], Tuple[Seg, Seg]]:
-        """(quad, replacement, middle_c, middle_c_prime) of the flip at
-        member t (see `flip`), without building the flipped triangulation."""
-        v, x = self._triangles(t)
-        q0, q1, q2, q3 = quad = tuple(sorted((t.m, t.n, v, x)))
-        if (t.m, t.n) == (q0, q2):
-            return quad, Arc(q1, q3), (seg(q1, q2), seg(q0, q3)), (seg(q0, q1), seg(q2, q3))
-        # the outer vertex lies below t.m: t is (q1, q3)
-        return quad, Arc(q0, q2), (seg(q0, q1), seg(q2, q3)), (seg(q1, q2), seg(q0, q3))
-
     def flip(self, t: Arc) -> FlipResult:
         """Replace member t by the other diagonal of its quadrilateral.
 
         The middle terms are the two opposite-side pairs of the quad; the
         `middle_c` pair is the one whose sides end at t's endpoints when the
-        quad is oriented by increasing vertices.
+        quad is oriented by increasing vertices (`exchange_rule`).
         """
-        quad, replacement, middle_c, middle_cp = self._exchange(t)
+        quad, (r0, r1), (c0, c1), (d0, d1) = exchange_rule(t, *self._triangles(t))
+        replacement, middle_c, middle_cp = Arc(r0, r1), (seg(*c0), seg(*c1)), (seg(*d0), seg(*d1))
         added = set(self.added)
         removed = set(self.removed)
         if t in added:
@@ -652,6 +645,23 @@ def crossing_order(d: Arc, arcs: Iterable[Arc]) -> List[Arc]:
     """Arcs that all cross d, sorted in the order they cross d from d.m."""
     p = d.m
     return sorted(arcs, key=lambda x: (x.n, 0, -x.m) if x.m < p else (x.m, 1, -x.n))
+
+
+def exchange_rule(t: Arc, v: int, x: int) -> Tuple[Tuple[int, int, int, int], Pair,
+                                                   Tuple[Pair, Pair], Tuple[Pair, Pair]]:
+    """(quad, replacement, middle_c, middle_c_prime) of the flip of member t
+    whose two triangles have third vertices v and x, in either order, each
+    side as its ascending pair of vertices.
+
+    The quad is the four vertices ascending; the replacement is its other
+    diagonal, and `middle_c` is the opposite-side pair whose sides end at
+    t's endpoints when the quad is oriented by increasing vertices.
+    """
+    q0, q1, q2, q3 = quad = tuple(sorted((t.m, t.n, v, x)))
+    if t.m == q0 and t.n == q2:
+        return quad, (q1, q3), ((q1, q2), (q0, q3)), ((q0, q1), (q2, q3))
+    # one third vertex lies below t.m: t is (q1, q3)
+    return quad, (q0, q2), ((q0, q1), (q2, q3)), ((q1, q2), (q0, q3))
 
 
 def arrow_between(T: Triangulation, a: Arc, b: Arc) -> Optional[int]:

@@ -43,6 +43,20 @@ def scan_crossers(T, d):
     return crossing_order(d, [x for x in cands if T.is_member(x) and crosses(x, d)])
 
 
+def hom_vanishes_polygon(P, d, targets, k):
+    """No maps from d into the k-th rotational shift of any target arc.
+
+    Polygon counterpart of the perpendicularity test: maps d -> rotate(u, k)
+    exist exactly when d crosses rotate(u, k - 1).
+    """
+    P.require_polygon("hom_vanishes_polygon")
+    for u in targets:
+        w = P.rotate(u, k - 1)
+        if isinstance(w, Arc) and crosses(d, w):
+            return False
+    return True
+
+
 def scan_inner_vertex(T, t):
     """Vertices v strictly inside t with both sides (t.m, v) and (v, t.n) present."""
     return [v for v in range(t.m + 1, t.n) if T.side_exists(t.m, v) and T.side_exists(v, t.n)]

@@ -6,7 +6,6 @@ from infcc.ktheory import (
     ModClass,
     SplitK0Class,
     coindex,
-    hom_vanishes_polygon,
     index,
     kappa_embed,
     theta,
@@ -21,6 +20,8 @@ from infcc.triangulation import (
     polygon,
     polygon_diagonals,
 )
+
+from tests.oracles import hom_vanishes_polygon
 
 PENT = polygon(0, 4, [(0, 2), (0, 3)])
 

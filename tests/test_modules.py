@@ -11,14 +11,18 @@ from infcc.arcs import Arc, Edge
 from infcc.cc_direct import cc_direct
 from infcc.exchange import cc
 from infcc.laurent import ONE, LaurentPoly
-from infcc.errors import InvalidModule
-from infcc.modules import StringModule, count_submodules, g_module, submodule_classes
+from infcc.errors import InvalidModule, NotMaximal
+from infcc.ktheory import theta_simple, theta_walk
+from infcc.modules import StringModule, count_submodules, g_module, submodule_classes, walk_dirs
 from infcc.triangulation import (
+    Triangulation,
     all_polygon_triangulations,
+    fountain,
     nested_zigzag,
     polygon,
     polygon_diagonals,
     random_polygon_triangulation,
+    staircase,
 )
 
 from tests.oracles import brute_submodule_classes
@@ -212,3 +216,130 @@ def test_cc_direct_refuses_what_cc_refuses():
         for route in (cc, cc_direct):
             with pytest.raises(ValueError, match=message):
                 route(P, bad)
+
+
+# -- the end rule of g_module and theta along the walk ----------------------
+
+HOLED_HEXAGONS = [
+    # (diagonals, the member removed, the arc): the two crossers of the arc
+    ([(0, 2), (0, 3), (0, 4)], (0, 3), (1, 5)),  # share an outer end
+    ([(0, 2), (2, 4), (2, 5)], (2, 5), (1, 3)),  # share an inner end
+    ([(1, 5), (2, 4), (2, 5)], (2, 5), (0, 3)),  # share no end
+]
+
+
+def _holed(lo, hi, diagonals, gone):
+    """The polygon triangulation with the member `gone` removed: not maximal."""
+    return Triangulation(polygon(lo, hi, diagonals).base, frozenset(), frozenset({Arc(*gone)}))
+
+
+@pytest.mark.parametrize("diagonals, gone, c", HOLED_HEXAGONS)
+def test_holed_hexagons_raise_not_maximal(diagonals, gone, c):
+    T = _holed(0, 5, diagonals, gone)
+    for route in (g_module, cc_direct):
+        with pytest.raises(NotMaximal, match="share no triangle"):
+            route(T, Arc(*c))
+
+
+def test_cc_direct_refuses_a_walk_end_without_a_triangle():
+    # the pentagon {(0,2), (0,3)} without (0,3): (1,3) crosses (0,2) alone,
+    # so g_module has no pair to check, but (0,2) has no triangle towards 3
+    T = _holed(0, 4, [(0, 2), (0, 3)], (0, 3))
+    assert g_module(T, Arc(1, 3)).walk == (Arc(0, 2),)
+    with pytest.raises(NotMaximal, match="differ"):
+        cc_direct(T, Arc(1, 3))
+
+
+def test_holed_polygons_raise_not_maximal_under_python_O():
+    # python -O strips asserts: the guards of the end rule must not be asserts
+    code = (
+        "from infcc.arcs import Arc\n"
+        "from infcc.cc_direct import cc_direct\n"
+        "from infcc.errors import NotMaximal\n"
+        "from infcc.modules import g_module\n"
+        "from infcc.triangulation import Triangulation, polygon\n"
+        f"cases = {[(5, *case) for case in HOLED_HEXAGONS] + [(4, [(0, 2), (0, 3)], (0, 3), (1, 3))]!r}\n"
+        "for hi, diagonals, gone, c in cases:\n"
+        "    T = Triangulation(polygon(0, hi, diagonals).base, frozenset(), frozenset({Arc(*gone)}))\n"
+        "    routes = (cc_direct,) if hi == 4 else (g_module, cc_direct)\n"
+        "    for route in routes:\n"
+        "        try:\n"
+        "            route(T, Arc(*c))\n"
+        "        except NotMaximal:\n"
+        "            print('NotMaximal')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "NotMaximal\n" * 7
+
+
+def _same_outcome(route, oracle):
+    """route() == oracle(), or both raise NotMaximal with one message."""
+    try:
+        expected = oracle()
+    except NotMaximal as e:
+        with pytest.raises(NotMaximal, match=re.escape(str(e))):
+            route()
+        return False
+    assert route() == expected
+    return True
+
+
+def test_end_rule_matches_walk_dirs_on_holed_polygons():
+    """Every triangulation of the 6- to 8-gon, each diagonal removed in turn,
+    every diagonal: the end rule agrees with arrow_between, guard included;
+    where the module is built, theta along its walk agrees with theta_simple."""
+    cases = built = 0
+    for hi in (5, 6, 7):
+        for diag in all_polygon_triangulations(0, hi):
+            for gone in sorted(diag):
+                T = _holed(0, hi, sorted(diag), gone)
+                for d in polygon_diagonals(0, hi):
+                    cases += 1
+                    walk = () if T.is_member(d) else tuple(T.crossers(d))
+                    if _same_outcome(lambda: g_module(T, d), lambda: StringModule(walk, walk_dirs(T, walk))):
+                        built += 1
+                        M = g_module(T, d)
+                        _same_outcome(lambda: list(theta_walk(T, d, M)),
+                                      lambda: [theta_simple(T, v).coeffs for v in M.walk])
+    assert cases == 15930 and 0 < built < cases
+
+
+def _randomly_flipped(T, rng, lo, hi):
+    for _ in range(rng.randint(0, 8)):
+        T = T.flip(rng.choice(T.members_in_window(lo, hi))).new_triangulation
+    return T
+
+
+def test_end_rule_matches_walk_dirs_on_infinite_families():
+    rng = random.Random(25)
+    checked = 0
+    for base in (nested_zigzag(0), staircase((0, 2), "UURRRU"), fountain(0)):
+        for _ in range(6):
+            T, f = _randomly_flipped(base, rng, -10, 10), base.base.fountain
+            for m in range(-10, 9):
+                for n in range(m + 2, 11):
+                    d = Arc(m, n)
+                    if T.is_member(d) or (f is not None and m < f < n):
+                        continue  # a member, or an arc straddling the fountain
+                    M = g_module(T, d)
+                    assert M.walk == tuple(T.crossers(d)), d
+                    assert M.dirs == walk_dirs(T, M.walk), (T, d)
+                    checked += 1
+    assert checked > 2000
+
+
+def test_end_rule_and_theta_walk_on_every_polygon_triangulation():
+    """Every diagonal of every triangulation of the 5- to 9-gon: the end rule
+    agrees with arrow_between, and theta along the walk with theta_simple."""
+    vertices = 0
+    for hi in range(4, 9):
+        for diag in all_polygon_triangulations(0, hi):
+            P = polygon(0, hi, sorted(diag))
+            for d in polygon_diagonals(0, hi):
+                M = g_module(P, d)
+                assert M.dirs == walk_dirs(P, M.walk), (sorted(diag), d)
+                assert list(theta_walk(P, d, M)) == [theta_simple(P, v).coeffs for v in M.walk]
+                vertices += len(M)
+    assert vertices == 27590
