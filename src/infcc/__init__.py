@@ -28,8 +28,7 @@ _EXPORTS = {
     "exchange": ("CCSession", "ReachabilityVerdict", "cc", "cc_multiset", "is_reachable"),
     "laurent": ("LaurentPoly", "format_fraction"),
     "cc_direct": ("cc_direct",),
-    "ktheory": ("ModClass", "SplitK0Class", "coindex", "index", "kappa_embed", "theta",
-                "theta_simple"),
+    "ktheory": ("ModClass", "SplitK0Class", "coindex", "index", "theta", "theta_simple"),
     "modules": ("StringModule", "count_submodules", "g_module", "submodule_classes"),
     "reduction": ("ReducedModel", "USpec", "cc_bar", "perp", "pi_star", "reduce", "u_of"),
     "tilings": ("Frontier", "TilingWindow", "extend_frontier", "frontier_to_triangulation",

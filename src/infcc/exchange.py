@@ -36,7 +36,9 @@ def is_reachable(T: Triangulation, d: Arc) -> ReachabilityVerdict:
     Locally finite and polygon models reach everything.  A fountain at n
     reaches exactly the arcs on one side of n: q <= n (e_minus) or p >= n
     (e_plus); arcs straddling n cross infinitely many members and are out.
+    Raises InvalidArc unless d is an arc of T's model (`check_arc`).
     """
+    T.check_arc(d)
     n = T.base.fountain
     if n is None:
         return ReachabilityVerdict(True, "all")

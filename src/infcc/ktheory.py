@@ -34,7 +34,7 @@ from collections.abc import Mapping
 from typing import Dict, Iterable, Iterator, Tuple, Union
 
 from .arcs import Arc, Seg
-from .errors import NotAMember, SupportMeetsU
+from .errors import NotAMember
 from .modules import StringModule, g_module
 from .triangulation import Triangulation, exchange_rule
 
@@ -174,8 +174,10 @@ def _class_of(arcs: Iterable[Arc]) -> SplitK0Class:
 
 
 def index(P: Triangulation, c: Seg) -> SplitK0Class:
-    """Index of c relative to the polygon triangulation P."""
+    """Index of c relative to the polygon triangulation P.  Raises
+    InvalidArc unless c is a segment of P (`check_seg`)."""
     P.require_polygon("index")
+    P.check_seg(c)
     return _index_of(P, c, g_module(P, c))
 
 
@@ -189,23 +191,13 @@ def _index_of(P: Triangulation, c: Seg, M: StringModule) -> SplitK0Class:
 
 
 def coindex(P: Triangulation, c: Seg) -> SplitK0Class:
-    """Coindex of c relative to P; dual to index through the mirror model."""
+    """Coindex of c relative to P; dual to index through the mirror model.
+    Raises InvalidArc unless c is a segment of P (`check_seg`)."""
     P.require_polygon("coindex")
+    P.check_seg(c)
     if P.is_boundary(c):
         return SplitK0Class()
     socle = g_module(P, P.rotate(c, -1)).valleys()
     tops = g_module(P, P.rotate(c, -2)).peaks()
     return _class_of(socle) - _class_of(tops)
 
-
-def kappa_embed(e: SplitK0Class, u_contains) -> SplitK0Class:
-    """Include a class of the reduced model into the ambient split group.
-
-    `u_contains` is a predicate (or USpec) naming the removed subcategory;
-    the class must avoid it.
-    """
-    test = u_contains.contains if hasattr(u_contains, "contains") else u_contains
-    for a in e.support():
-        if test(a):
-            raise SupportMeetsU(f"class touches the reduced-away member {tuple(a)}")
-    return SplitK0Class(dict(e.coeffs))

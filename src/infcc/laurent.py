@@ -222,16 +222,15 @@ def _repack(p: "LaurentPoly", dst: VarIndex) -> Tuple["LaurentPoly", VarIndex]:
     """(value, index): p with keys valid on `dst`, or on a copy of `dst`
     extended by the arcs it lacks.  Neither index changes."""
     src = p.index
-    keys = list(p._terms)
-    arcs, columns = _decode(keys, p.shift, src)
+    arcs, columns = _decode(p._terms, p.shift, src)
     if all(dst.slots.get(a) == src.slots[a] for a in arcs):
         return p, dst
     dst = dst.extended(arcs)
-    shifts = [FIELD_BITS * dst.slots[a] for a in arcs]
-    out = {}
-    for row, c in zip(zip(*columns) if columns else ((),) * len(keys), p._terms.values()):
-        out[sum(e << sh for e, sh in zip(row, shifts) if e)] = c
-    return _new(out, dst, p.bound), dst
+    keys = [0] * len(p._terms)
+    for a, col in zip(arcs, columns):
+        sh = FIELD_BITS * dst.slots[a]
+        keys = [k + (e << sh) for k, e in zip(keys, col.tolist())]
+    return _new(dict(zip(keys, p._terms.values())), dst, p.bound), dst
 
 
 def _align(p: "LaurentPoly", q: "LaurentPoly"):

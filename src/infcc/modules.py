@@ -100,12 +100,15 @@ def walk_dirs(T: Triangulation, walk: Sequence[Arc]) -> Tuple[int, ...]:
 def g_module(T: Triangulation, c: Seg) -> StringModule:
     """The string module of c: supported on the members crossing c.
 
-    Zero (empty walk) exactly when c is a member or boundary.  Propagates
-    InfiniteCrossers when c straddles a fountain.  The directions follow
-    the end rule of the module docstring; NotMaximal when two consecutive
-    crossers share no end or the third side of their triangle is missing.
+    Zero (empty walk) exactly when c is a member or boundary.  Raises
+    InvalidArc unless c is a segment of T's model (`check_seg`), and
+    propagates InfiniteCrossers when c straddles a fountain.  The
+    directions follow the end rule of the module docstring; NotMaximal when
+    two consecutive crossers share no end or the third side of their
+    triangle is missing.
     """
     if T.is_boundary(c) or T.is_member(c):
+        T.check_seg(c)  # an arc past this point is checked by `crossers`
         return StringModule((), ())
     walk = T.crossers(c)
     p, side_exists = c.m, T.side_exists

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Tuple
 
-from .arcs import Arc, Seg, shift, spans
-from .errors import InfiniteCrossers, InvalidModule, NotAMember, SupportMeetsU, TooLarge
+from .arcs import Arc, Seg, shift
+from .errors import InfiniteCrossers, InvalidModule, NotAMember, SupportMeetsU
 from .exchange import CCSession, cc
 from .laurent import LaurentPoly
 from .modules import StringModule, walk_dirs
@@ -51,8 +51,7 @@ def u_of(T: Triangulation, t: Arc) -> USpec:
     """U(t): all members except the finitely many spanned by t."""
     if not T.is_member(t):
         raise NotAMember(f"{tuple(t)} is not a member")
-    spanned = frozenset(u for u in T.members_in_window(t.m, t.n) if spans(t, u))
-    return USpec(T, spanned, t)
+    return USpec(T, frozenset(T.members_in_window(t.m, t.n)) - {t}, t)
 
 
 def reduce(T: Triangulation, t: Arc) -> ReducedModel:
@@ -63,7 +62,9 @@ def reduce(T: Triangulation, t: Arc) -> ReducedModel:
 
 
 def perp(d: Arc, U: USpec, k: int) -> bool:
-    """True iff no maps d -> shift(u, k) for any u in U."""
+    """True iff no maps d -> shift(u, k) for any u in U.  Raises InvalidArc
+    unless d is an arc of the model (`check_arc`)."""
+    U.ambient.check_arc(d)
     try:
         crossed = U.ambient.crossers(shift(d, 1 - k))
     except InfiniteCrossers:
@@ -96,33 +97,20 @@ def cc_bar(T: Triangulation, U: USpec, d: Seg,
     return cc(T, d, session).substitute_unit(U.contains)
 
 
-MAX_WINDOW_GROWTHS = 64  # widenings of cofinite_uspec_for's window, one vertex a side each
-
-
 def cofinite_uspec_for(T: Triangulation, c: Arc, simples_of: Iterable[Arc] = ()) -> USpec:
-    """Grow a window around c until the perpendicularity conditions hold.
+    """The largest cofinite U with c in perp(shift U) and perp(shift^2 U),
+    and each given representative s in perp(U), perp(shift U) and
+    perp(shift^2 U).
 
-    Removes every member with an endpoint in the window; the result is a
-    cofinite U with c in perp(shift U) and perp(shift^2 U), and each given
-    representative arc additionally in perp(U).  Infinite locally finite
-    triangulations only (`require_locally_finite`); raises TooLarge after
-    MAX_WINDOW_GROWTHS growths.
+    `perp(d, U, k)` holds exactly when no member of U crosses
+    shift(d, 1 - k), so U is every member except the crossers of c,
+    shift(c, -1), shift(s, 1), s and shift(s, -1): each condition holds by
+    construction, and a smaller removed set breaks one.  Infinite locally
+    finite triangulations only (`require_locally_finite`), where every arc
+    has finitely many crossers.
     """
     T.require_locally_finite("cofinite_uspec_for")
-    reps = list(simples_of)
-    lo, hi = c.m, c.n
-    for _ in range(MAX_WINDOW_GROWTHS):
-        pad_members = set(T.members_in_window(lo - 1, hi + 1))
-        # members with an endpoint in [lo, hi] but reaching outside the window
-        for v in range(lo, hi + 1):
-            pad_members.update(Arc(min(v, w), max(v, w)) for w in T.fan(v))
-        U = USpec(T, frozenset(pad_members))
-        ok = perp(c, U, 1) and perp(c, U, 2)
-        for s in reps:
-            ok = ok and perp(s, U, 0) and perp(s, U, 1) and perp(s, U, 2)
-        if ok:
-            return U
-        lo -= 1
-        hi += 1
-    raise TooLarge(f"{MAX_WINDOW_GROWTHS} window growths around {tuple(c)} "
-                   "did not reach a perpendicular U")
+    arcs = [c, shift(c, -1)]
+    for s in simples_of:
+        arcs += [shift(s, 1), s, shift(s, -1)]
+    return USpec(T, frozenset(u for d in arcs for u in T.crossers(d)))

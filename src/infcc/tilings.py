@@ -81,18 +81,22 @@ def tiling_window(T: Triangulation, lo: int, hi: int) -> TilingWindow:
     return TilingWindow("half_plane", values)
 
 
-def recurrence_window(T: Triangulation, lo: int, hi: int, pad: int = 3,
-                      strict: bool = True) -> Dict[Cell, int]:
+RECURRENCE_PAD = 3  # vertices past each side of the window that recurrence_window seeds
+
+
+def recurrence_window(T: Triangulation, lo: int, hi: int, strict: bool = True) -> Dict[Cell, int]:
     """Half-plane window by determinant propagation from the members' 1's.
 
-    Independent of submodule counting: seeds 1 at every member of a padded
-    window and fills the rest with the two determinant relations.  With
-    `strict` every window cell must resolve (ExactnessFailure otherwise);
-    without it the determined sub-window is returned, which is the honest
-    result for member configurations the local propagation cannot finish.
+    Independent of submodule counting: seeds 1 at every member of the window
+    padded by RECURRENCE_PAD and fills the rest with the two determinant
+    relations.  With `strict` every window cell must resolve
+    (ExactnessFailure otherwise); without it the determined sub-window is
+    returned, which is the honest result for member configurations the local
+    propagation cannot finish.
     Raises as `require_locally_finite` on a fountain or a polygon.
     """
     T.require_locally_finite("recurrence_window")
+    pad = RECURRENCE_PAD
     values: Dict[Cell, int] = {(a.m, a.n): 1 for a in T.members_in_window(lo - pad, hi + pad)}
     targets = {(i, j) for i in range(lo - pad, hi + pad - 1) for j in range(i + 2, hi + pad + 1)}
     _propagate(values, targets, edge=True)

@@ -342,8 +342,10 @@ class Triangulation(Frozen):
     # -- family guards -------------------------------------------------------
 
     def check_arc(self, d: Arc) -> None:
-        """Raise InvalidArc unless d is an arc of this model: m <= n - 2,
-        and on a polygon both ends on the frame."""
+        """Raise InvalidArc unless d is an arc of this model: an Arc with
+        m <= n - 2, and on a polygon both ends on the frame."""
+        if not isinstance(d, Arc):
+            raise InvalidArc(f"{d!r} is not an Arc")
         m, n = d
         if m > n - 2:
             arc(m, n)  # raises InvalidArc; building an Arc costs more than the test
@@ -456,8 +458,10 @@ class Triangulation(Frozen):
         """Some member spanning d, or None when no member does.
 
         An infinite base offers infinitely many spanning arcs, and only
-        finitely many of them can be removed, so the scan ends.
+        finitely many of them can be removed, so the scan ends.  Raises
+        InvalidArc unless d is an arc of the model (`check_arc`).
         """
+        self.check_arc(d)
         for t in sorted(self.added):
             if spans(t, d):
                 return t

@@ -57,6 +57,22 @@ def hom_vanishes_polygon(P, d, targets, k):
     return True
 
 
+def kappa_embed(e, u_contains):
+    """Include a class of the reduced model into the ambient split group.
+
+    `u_contains` is a predicate (or USpec) naming the removed subcategory;
+    raises SupportMeetsU when the class meets it.
+    """
+    from infcc.errors import SupportMeetsU
+    from infcc.ktheory import SplitK0Class
+
+    test = u_contains.contains if hasattr(u_contains, "contains") else u_contains
+    for a in e.support():
+        if test(a):
+            raise SupportMeetsU(f"class touches the reduced-away member {tuple(a)}")
+    return SplitK0Class(dict(e.coeffs))
+
+
 def scan_inner_vertex(T, t):
     """Vertices v strictly inside t with both sides (t.m, v) and (v, t.n) present."""
     return [v for v in range(t.m + 1, t.n) if T.side_exists(t.m, v) and T.side_exists(v, t.n)]

@@ -7,7 +7,6 @@ from infcc.ktheory import (
     SplitK0Class,
     coindex,
     index,
-    kappa_embed,
     theta,
     theta_simple,
 )
@@ -21,7 +20,7 @@ from infcc.triangulation import (
     polygon_diagonals,
 )
 
-from tests.oracles import hom_vanishes_polygon
+from tests.oracles import hom_vanishes_polygon, kappa_embed
 
 PENT = polygon(0, 4, [(0, 2), (0, 3)])
 

@@ -1,9 +1,11 @@
 """The lazy package namespace: names, star import, dir, and what loads."""
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +24,7 @@ EXPORTS = {
     "exchange": ["CCSession", "ReachabilityVerdict", "cc", "cc_multiset", "is_reachable"],
     "laurent": ["LaurentPoly", "format_fraction"],
     "cc_direct": ["cc_direct"],
-    "ktheory": ["ModClass", "SplitK0Class", "coindex", "index", "kappa_embed", "theta",
-                "theta_simple"],
+    "ktheory": ["ModClass", "SplitK0Class", "coindex", "index", "theta", "theta_simple"],
     "modules": ["StringModule", "count_submodules", "g_module", "submodule_classes"],
     "reduction": ["ReducedModel", "USpec", "cc_bar", "perp", "pi_star", "reduce", "u_of"],
     "tilings": ["Frontier", "TilingWindow", "extend_frontier", "frontier_to_triangulation",
@@ -71,6 +72,15 @@ def test_unknown_name_raises_attribute_error():
         infcc.no_such_name
     with pytest.raises(ImportError):
         from infcc import no_such_name  # noqa: F401
+
+
+def test_no_assert_in_the_package():
+    # python -O strips asserts, so no check the package relies on may be one
+    found = []
+    for path in sorted(Path(infcc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_plain_import_loads_no_submodule():

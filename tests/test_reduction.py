@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from infcc.arcs import Arc
-from infcc.errors import InvalidModule, NotAMember, NotLocallyFinite, SupportMeetsU, TooLarge
+from infcc.arcs import Arc, shift
+from infcc.errors import InvalidModule, NotAMember, NotLocallyFinite, SupportMeetsU
 from infcc.exchange import CCSession, cc
 from infcc.laurent import ONE, LaurentPoly
 from infcc.modules import StringModule, g_module, submodule_classes
 from infcc.reduction import (
-    MAX_WINDOW_GROWTHS,
     cc_bar,
     cofinite_uspec_for,
     perp,
@@ -16,7 +15,7 @@ from infcc.reduction import (
     reduce,
     u_of,
 )
-from infcc.triangulation import fountain, nested_zigzag, polygon, polygon_diagonals
+from infcc.triangulation import fountain, nested_zigzag, polygon, polygon_diagonals, staircase
 
 x = LaurentPoly.variable
 
@@ -133,25 +132,49 @@ def test_flip_commutes_with_reduction():
                 sorted(reduced_then_flipped.polygon_members())
 
 
+def _flipped_pool():
+    """nested_zigzag(0) and two staircases, each after 0, 2, 4 and 6 random flips."""
+    rng = random.Random(27)
+    for base in (nested_zigzag(0), staircase((0, 2), "RRU"), staircase((1, 3), "URRUU")):
+        for n_flips in (0, 2, 4, 6):
+            T = base
+            for _ in range(n_flips):
+                T = T.flip(rng.choice(T.members_in_window(-4, 5))).new_triangulation
+            yield T
+
+
+def _perp_arcs(c, reps):
+    """The arcs whose crossers the conditions on c and reps forbid in U."""
+    return [c, shift(c, -1)] + [d for s in reps for d in (shift(s, 1), s, shift(s, -1))]
+
+
 def test_cofinite_uspec_conditions():
-    Z = nested_zigzag(0)
-    rng = random.Random(8)
-    pool = [Arc(m, n) for m in range(-4, 3) for n in range(m + 2, 5)]
-    rng.shuffle(pool)
-    for c in pool[:6]:
-        reps = [Z.flip(u).replacement for u in Z.crossers(c)]
-        U = cofinite_uspec_for(Z, c, reps)
-        assert perp(c, U, 1) and perp(c, U, 2)
-        assert all(perp(s, U, k) for s in reps for k in (0, 1, 2))
-        # with such a U the ambient value never mentions U at all
-        p = cc(Z, c)
-        assert p.substitute_unit(U.contains) == p
-        assert all(not U.contains(a) for a in p.variables())
+    checked = 0
+    for T in _flipped_pool():
+        for c in (Arc(m, n) for m in range(-6, 6) for n in range(m + 2, 8)):
+            if T.is_member(c):
+                continue
+            reps = [T.flip(u).replacement for u in T.crossers(c)]
+            U = cofinite_uspec_for(T, c, reps)
+            assert perp(c, U, 1) and perp(c, U, 2), c
+            assert all(perp(s, U, k) for s in reps for k in (0, 1, 2)), c
+            p = cc(T, c)
+            # with such a U the ambient value never mentions U at all
+            assert p.substitute_unit(U.contains) == p, c
+            assert all(not U.contains(a) for a in p.variables()), c
+            # U is the largest such: it keeps every member no condition forbids
+            assert U.removed == {u for d in _perp_arcs(c, reps) for u in T.crossers(d)}, c
+            checked += 1
+    assert checked > 700
     with pytest.raises(NotLocallyFinite):
         cofinite_uspec_for(fountain(0), Arc(-3, -1))
 
 
-def test_window_growth_limit_is_typed():
-    # a representative far from c is never perpendicular to a window around c
-    with pytest.raises(TooLarge, match=f"{MAX_WINDOW_GROWTHS} window growths"):
-        cofinite_uspec_for(nested_zigzag(0), Arc(0, 3), [Arc(1000, 1003)])
+def test_far_representative_gets_a_valid_u():
+    # the removed set is read off the crossers, however far apart c and s lie
+    Z, c, s = nested_zigzag(0), Arc(0, 3), Arc(1000, 1003)
+    U = cofinite_uspec_for(Z, c, [s])
+    assert len(U.removed) == 12
+    assert U.removed == {u for d in _perp_arcs(c, [s]) for u in Z.crossers(d)}
+    assert perp(c, U, 1) and perp(c, U, 2)
+    assert all(perp(s, U, k) for k in (0, 1, 2))

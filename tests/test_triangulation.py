@@ -22,7 +22,7 @@ from infcc.errors import (
     WrongFamily,
 )
 from infcc.exchange import CCSession, cc
-from infcc.ktheory import coindex, index
+from infcc.ktheory import SplitK0Class, coindex, index
 from infcc.laurent import ONE
 from infcc.modules import count_submodules, g_module
 from infcc.reduction import cofinite_uspec_for
@@ -610,6 +610,60 @@ def test_polygon_operations_refuse_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["NotAPolygon", "NotAPolygon", "InvalidArc", "InvalidArc",
                                    "WrongFamily", "WrongFamily"]
+
+
+# Calls on a value that is not an arc of the model.  Each names the module
+# it imports from, so the same table runs in a fresh `python -O`.
+NON_ARC_SETUP = (
+    "from infcc.arcs import Arc, Edge\n"
+    "from infcc.cc_direct import cc_direct\n"
+    "from infcc.exchange import cc, is_reachable\n"
+    "from infcc.ktheory import coindex, index\n"
+    "from infcc.modules import g_module\n"
+    "from infcc.reduction import cc_bar, perp, u_of\n"
+    "from infcc.triangulation import fountain, nested_zigzag, polygon\n"
+    "P = polygon(0, 5, [(0, 2), (0, 3), (0, 4)])\n"
+    "Z = nested_zigzag(0)\n"
+    "U = u_of(Z, Arc(-1, 3))\n"
+)
+NON_ARC_CALLS = [
+    "index(P, Edge(99))", "coindex(P, Edge(99))", "g_module(P, Edge(99))", "cc_direct(P, Edge(99))",
+    "Z.crossers(Edge(1))", "Z.spanning_arc(Edge(1))", "perp(Edge(1), U, 1)",
+    "is_reachable(fountain(0), Edge(1))",
+    "cc(Z, (0, 5))", "cc_direct(P, (0, 3))", "index(P, (0, 3))", "coindex(P, (0, 3))",
+    "g_module(Z, (0, 5))", "g_module(P, (0, 5))", "cc_bar(Z, U, (0, 5))", "P.rotate((0, 3), 1)",
+    "Z.crossers((0, 5))", "Z.spanning_arc((0, 5))", "perp((0, 5), U, 1)", "is_reachable(Z, (0, 5))",
+]
+
+
+@pytest.mark.parametrize("call", NON_ARC_CALLS)
+def test_non_arcs_are_refused(call):
+    ns = {}
+    exec(NON_ARC_SETUP, ns)
+    with pytest.raises(InvalidArc):
+        eval(call, ns)
+
+
+def test_non_arcs_are_refused_under_python_O():
+    code = NON_ARC_SETUP + (
+        "from infcc.errors import InvalidArc\n"
+        f"for call in {NON_ARC_CALLS!r}:\n"
+        "    try:\n"
+        "        eval(call)\n"
+        "    except InvalidArc:\n"
+        "        print('InvalidArc')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["InvalidArc"] * len(NON_ARC_CALLS)
+
+
+def test_boundary_segments_keep_their_values():
+    P = polygon(0, 5, [(0, 2), (0, 3), (0, 4)])
+    assert g_module(nested_zigzag(0), Edge(1)).is_zero
+    for i in range(6):
+        assert index(P, Edge(i)) == coindex(P, Edge(i)) == SplitK0Class()
 
 
 ZIG = {"kind": "zigzag", "anchor": 0}
