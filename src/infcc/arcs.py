@@ -118,7 +118,10 @@ def spans(outer: Arc, inner: Arc) -> bool:
 
 
 def shift(x: Seg, k: int) -> Seg:
-    """Apply the k-th power of the suspension: (m, n) -> (m - k, n - k)."""
+    """Apply the k-th power of the suspension: (m, n) -> (m - k, n - k).
+    Raises InvalidArc unless x is an Arc or an Edge."""
     if isinstance(x, Edge):
         return Edge(x.i - k)
+    if not isinstance(x, Arc):
+        raise InvalidArc(f"{x!r} is not an Arc or an Edge")
     return Arc(x.m - k, x.n - k)

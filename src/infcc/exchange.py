@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, List, NamedTuple, Optional
 
 from .arcs import Arc, Frozen, Seg, crosses, seg
-from .errors import InvalidSpec, NotMaximal, Unreachable
+from .errors import NotMaximal, Unreachable
 from .laurent import ONE, LaurentPoly, VarIndex
 from .triangulation import Triangulation, crossing_order
 
@@ -56,19 +56,16 @@ class CCSession(Frozen):
     products never repack exponent keys.  The fields cannot be reassigned;
     the memo fills in place.  Not thread-safe; use one session per thread
     (computations on separate sessions are independent and embarrassingly
-    parallel).  The repr shows `pivot` and `memo`; a session equals only
-    itself and is unhashable.
+    parallel).  The repr shows `memo`; a session equals only itself and is
+    unhashable.
     """
 
-    __slots__ = ("pivot", "memo", "index")
-    _fields = ("pivot", "memo")
+    __slots__ = ("memo", "index")
+    _fields = ("memo",)
     __eq__ = object.__eq__  # identity: each session owns its memo and index
     __hash__ = None  # the memo fills in place
 
-    def __init__(self, pivot: str = "first"):
-        if pivot not in ("first", "last"):  # the recursion choice hook for tests
-            raise InvalidSpec(f"pivot must be 'first' or 'last', got {pivot!r}")
-        self._set("pivot", pivot)
+    def __init__(self):
         self._set("memo", {})
         self._set("index", VarIndex())
 
@@ -106,8 +103,8 @@ def _rec(T: Triangulation, x: Seg, session: CCSession,
     crossers = T.crossers(x) if cands is None else crossing_order(x, [c for c in cands if crosses(c, x)])
     if not crossers:
         raise NotMaximal(f"non-member {tuple(x)} crosses no member: not a triangulation")
-    u = crossers[0] if session.pivot == "first" else crossers[-1]
-    rest = [c for c in crossers if c != u]
+    u = crossers[0]
+    rest = crossers[1:]
     q0, q1, q2, q3 = sorted((x.m, x.n, u.m, u.n))
     parts = [_rec(T, seg(a, b), session, rest)
              for a, b in ((q0, q1), (q2, q3), (q1, q2), (q0, q3))]

@@ -107,10 +107,13 @@ def cofinite_uspec_for(T: Triangulation, c: Arc, simples_of: Iterable[Arc] = ())
     shift(c, -1), shift(s, 1), s and shift(s, -1): each condition holds by
     construction, and a smaller removed set breaks one.  Infinite locally
     finite triangulations only (`require_locally_finite`), where every arc
-    has finitely many crossers.
+    has finitely many crossers.  Raises InvalidArc unless c and each
+    representative are arcs of the model (`check_arc`).
     """
     T.require_locally_finite("cofinite_uspec_for")
+    T.check_arc(c)
     arcs = [c, shift(c, -1)]
     for s in simples_of:
+        T.check_arc(s)
         arcs += [shift(s, 1), s, shift(s, -1)]
     return USpec(T, frozenset(u for d in arcs for u in T.crossers(d)))

@@ -22,8 +22,7 @@ Base families
 
 Every base answers the same queries, on arcs (m, n) with n - m >= 2:
 ``member(x)``, ``partners(v)`` (co-endpoints of the base arcs at v; the
-fountain's raises NotLocallyFinite), ``members_in_window(lo, hi)``,
-``spanning_candidates(d)`` (base arcs spanning d, innermost first), and
+fountain's raises NotLocallyFinite) and ``members_in_window(lo, hi)``, and
 states its family: ``kind``, ``frame`` (the polygon's long side Arc(lo, hi),
 or None) and ``fountain`` (the fountain vertex, or None).  `Triangulation`
 applies the flip patch on top of them; its guards ``check_arc``,
@@ -35,9 +34,9 @@ names in `_fields`; the returned records are NamedTuples.
 Fans
 ----
 ``Triangulation.fan(v)`` is the ascending tuple of member co-endpoints at
-the vertex v.  It is read once per vertex from ``base.partners(v)`` and a
-vertex -> `added` index, and kept in a memo that takes no part in equality
-or hashing.  At a fountain vertex the fan is cofinite, so ``fan`` raises
+the vertex v.  It is read once per vertex from ``base.partners(v)`` and one
+pass over `added`, and kept in a memo that takes no part in equality or
+hashing.  At a fountain vertex the fan is cofinite, so ``fan`` raises
 NotLocallyFinite there.  The crossing and triangle queries read fans
 instead of testing candidate arcs:
 
@@ -52,14 +51,17 @@ instead of testing candidate arcs:
   just counter-clockwise; read at n the two swap, and the two readings
   must agree.  So a flip costs two fan lookups whatever the width of t;
   at the fountain vertex the neighbours are found by stepping past the
-  finitely many removed members.
+  finitely many removed members;
+* ``spanning_arc(d)`` widens d to the hull of its crossers, or a member d
+  to the spanning side of its outer triangle, until it reaches a member:
+  the innermost one spanning d.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .arcs import Arc, Edge, Frozen, Seg, arc, crosses, seg, spans
 from .errors import (FlipTargetNotMember, InfiniteCrossers, InvalidArc, InvalidSpec, NotAMember,
@@ -94,16 +96,6 @@ class FountainBase(Frozen):
         if not lo <= f <= hi:
             return []
         return [Arc(m, f) for m in range(lo, f - 1)] + [Arc(f, p) for p in range(f + 2, hi + 1)]
-
-    def spanning_candidates(self, d: Arc) -> Iterable[Arc]:
-        n0 = self.fountain
-        if d.n <= n0:
-            start = d.m - 1 if d.n == n0 else d.m
-            return (Arc(m, n0) for m in itertools.count(start, -1))
-        if d.m >= n0:
-            start = d.n + 1 if d.m == n0 else d.n
-            return (Arc(n0, p) for p in itertools.count(start))
-        return ()  # d straddles the fountain: no fan arc spans it
 
 
 class StaircaseBase(Frozen):
@@ -176,9 +168,6 @@ class StaircaseBase(Frozen):
                 break  # the arcs are nested, so every later one is outside too
             out.append(a)
         return out
-
-    def spanning_candidates(self, d: Arc) -> Iterator[Arc]:
-        return (a for a in map(self.arc_at, itertools.count()) if spans(a, d))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +262,6 @@ class PolygonBase(Frozen):
     def members_in_window(self, lo: int, hi: int) -> List[Arc]:
         return [d for d in self.diagonals if lo <= d.m and d.n <= hi]
 
-    def spanning_candidates(self, d: Arc) -> List[Arc]:
-        return sorted(t for t in self.diagonals if spans(t, d))
-
 
 class Quiver(NamedTuple):
     vertices: Tuple[Arc, ...]
@@ -307,11 +293,10 @@ class Triangulation(Frozen):
     """Immutable triangulation value: base family plus a finite flip patch.
 
     Its fields are `base`, `added` and `removed`, so flips that undo each
-    other give back an equal value.  The fan memo and the added-member
-    index are derived data.
+    other give back an equal value.  The fan memo is derived data.
     """
 
-    __slots__ = ("base", "added", "removed", "_fans", "_added_at")
+    __slots__ = ("base", "added", "removed", "_fans")
     _fields = ("base", "added", "removed")
 
     def __init__(self, base, added: frozenset = frozenset(), removed: frozenset = frozenset()):
@@ -319,7 +304,6 @@ class Triangulation(Frozen):
         self._set("added", added)
         self._set("removed", removed)
         self._set("_fans", {})  # vertex -> fan
-        self._set("_added_at", None)  # vertex -> co-endpoints of added members, on first use
 
     # -- membership --------------------------------------------------------
 
@@ -388,23 +372,11 @@ class Triangulation(Frozen):
         f = self._fans.get(v)
         if f is None:
             ends = set(self.base.partners(v))
-            if self.added:
-                ends.update(self._added_index().get(v, ()))
+            ends.update(a.n if a.m == v else a.m for a in self.added if v in a)
             if self.removed:
                 ends = {w for w in ends if Arc(min(v, w), max(v, w)) not in self.removed}
             f = self._fans[v] = tuple(sorted(ends))
         return f
-
-    def _added_index(self) -> Dict[int, List[int]]:
-        """Vertex -> co-endpoints of the added members there, built on first use."""
-        at = self._added_at
-        if at is None:
-            at = {}
-            for a in self.added:
-                at.setdefault(a.m, []).append(a.n)
-                at.setdefault(a.n, []).append(a.m)
-            self._set("_added_at", at)
-        return at
 
     def members_in_window(self, lo: int, hi: int) -> List[Arc]:
         """Members with both endpoints inside [lo, hi]."""
@@ -455,17 +427,34 @@ class Triangulation(Frozen):
         return out
 
     def spanning_arc(self, d: Arc) -> Optional[Arc]:
-        """Some member spanning d, or None when no member does.
+        """The innermost member spanning d, or None when no member does.
 
-        An infinite base offers infinitely many spanning arcs, and only
-        finitely many of them can be removed, so the scan ends.  Raises
-        InvalidArc unless d is an arc of the model (`check_arc`).
+        A member spanning d spans every crosser of d too (the crosser has an
+        end strictly inside d and cannot cross the member), so widening d to
+        the hull of its crossers never passes the innermost spanning member.
+        A member d widens to the spanning side of its outer triangle.  The
+        widening stops at a member, at the polygon's frame or at an arc
+        straddling a fountain (None: no member spans it).  Raises InvalidArc
+        unless d is an arc of the model (`check_arc`), and NotMaximal when
+        an arc on the way crosses no member.
         """
         self.check_arc(d)
-        for t in sorted(self.added):
-            if spans(t, d):
-                return t
-        return next((t for t in self.base.spanning_candidates(d) if t not in self.removed), None)
+        x = d
+        while x != self.base.frame:
+            if self.is_member(x):
+                if x != d:
+                    return x
+                o = self._triangles(x)[1]
+                x = Arc(min(x.m, o), max(x.n, o))
+                continue
+            try:
+                cs = self.crossers(x)
+            except InfiniteCrossers:
+                return None
+            if not cs:
+                raise NotMaximal(f"non-member {tuple(x)} crosses no member: not a triangulation")
+            x = Arc(min(x.m, *(c.m for c in cs)), max(x.n, *(c.n for c in cs)))
+        return None
 
     def classify(self):
         """The base family, `self.base`; new code reads `base`.  Kept while
@@ -591,7 +580,8 @@ class Triangulation(Frozen):
         """Quiver on the members of a finite region: arrows from shared triangles.
 
         Raises InvalidSpec on a window that holds no arc, hi - lo < 2, and
-        when an infinite model is given no window.
+        when an infinite model is given no window; InvalidArc unless each
+        given vertex is an arc of the model (`check_arc`).
         """
         if vertices is None:
             if lo is None or hi is None:
@@ -600,6 +590,10 @@ class Triangulation(Frozen):
                 lo, hi = self.base.frame
             check_window(lo, hi)
             vertices = self.members_in_window(lo, hi)
+        else:
+            vertices = list(vertices)
+            for a in vertices:
+                self.check_arc(a)
         vs = sorted(set(vertices))
         # an arrow joins two arcs with exactly one common endpoint, so only
         # the pairs at each endpoint are tried

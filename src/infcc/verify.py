@@ -208,17 +208,19 @@ def criterion_5_reduction(rng, size: str) -> Result:
 
 
 def criterion_6_module_correspondence(rng, size: str) -> Result:
-    """Submodule tables agree across the reduced-to-ambient embedding."""
+    """Each spanned diagonal's module over the reduced model embeds
+    (`pi_star`) and equals its ambient module: walk, directions and
+    submodule tables.  So no ambient member outside the model crosses it."""
     cases = 0
     for T, t in [(fountain(0), Arc(-5, 0)), (fountain(0), Arc(0, 5)),
                  (nested_zigzag(0), Arc(-2, 4)), (nested_zigzag(0), Arc(-3, 4))]:
         U = u_of(T, t)
         red = reduce(T, t)
         for d in polygon_diagonals(t.m, t.n):
-            M = g_module(red.model, d)
-            Ma = pi_star(M, U)
-            ta, tb = submodule_classes(M), submodule_classes(Ma)
-            if ta.size != tb.size or ta.class_multiset() != tb.class_multiset():
+            M = pi_star(g_module(red.model, d), U)
+            A = g_module(T, d)
+            ta, tb = submodule_classes(M), submodule_classes(A)
+            if M != A or ta.size != tb.size or ta.class_multiset() != tb.class_multiset():
                 return ("module correspondence", False, f"t={tuple(t)}, d={tuple(d)}")
             cases += 1
     return ("module correspondence", True, f"{cases} strings, equal sizes and class multisets")

@@ -24,6 +24,15 @@ def brute_fan(T, v, lo, hi):
     return [w for w in range(lo, hi + 1) if abs(w - v) >= 2 and T.is_member(Arc(min(v, w), max(v, w)))]
 
 
+def brute_spanning(T, d, lo, hi):
+    """The narrowest member spanning d, by testing every arc of [lo, hi]
+    around d; None when none does.  Members spanning d are nested."""
+    from infcc.arcs import spans
+
+    around = (Arc(a, b) for a in range(lo, d.m + 1) for b in range(d.n, hi + 1))
+    return min((a for a in around if spans(a, d) and T.is_member(a)), key=lambda a: a.n - a.m, default=None)
+
+
 def scan_crossers(T, d):
     """Members crossing d, in crossing order, by a scan over d's inner vertices.
 

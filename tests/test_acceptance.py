@@ -39,3 +39,18 @@ def test_criterion_10_checks_flipped_quivers(monkeypatch):
     name, ok, detail = verify.criterion_10_mutation(random.Random(SEED + 10), "quick")
     assert ok, detail
     assert any(patched), patched
+
+
+def test_criterion_6_compares_with_the_ambient_module(monkeypatch):
+    # the reduced model of (-5, 0) on the fountain, flipped at (-4, 0), makes
+    # (-5, -3) a member there: its module is zero and still embeds, but the
+    # ambient module of (-5, -3) is not zero
+    reduce = verify.reduce
+
+    def wrong(T, t):
+        red = reduce(T, t)
+        return red._replace(model=red.model.flip(min(red.model.polygon_members())).new_triangulation)
+
+    monkeypatch.setattr(verify, "reduce", wrong)
+    name, ok, detail = verify.criterion_6_module_correspondence(random.Random(SEED + 6), "full")
+    assert not ok and detail == "t=(-5, 0), d=(-5, -3)"

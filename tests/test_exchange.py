@@ -64,13 +64,19 @@ def test_cc_unreachable():
     assert e.value.fountain == 0
 
 
-def test_cc_deterministic_and_pivot_independent():
-    Z = nested_zigzag(0)
-    arcs = [Arc(m, n) for m in range(-4, 3) for n in range(m + 2, 5)]
-    for d in arcs:
-        first = cc(Z, d, CCSession(pivot="first"))
-        last = cc(Z, d, CCSession(pivot="last"))
-        assert first == last, d
+def test_exchange_relation_at_the_last_crosser():
+    # the recursion resolves d at its first crosser; the relation holds at
+    # the last one too
+    for T in (nested_zigzag(0), fountain(0), staircase((0, 2), "RRUUR", [(0, 3)])):
+        session = CCSession()
+        for d in [Arc(m, n) for m in range(-4, 3) for n in range(m + 2, 5)]:
+            if T.is_member(d) or not is_reachable(T, d).reachable:
+                continue
+            u = T.crossers(d)[-1]
+            q0, q1, q2, q3 = sorted((d.m, d.n, u.m, u.n))
+            rhs = cc_multiset(T, [seg(q0, q1), seg(q2, q3)], session) \
+                + cc_multiset(T, [seg(q1, q2), seg(q0, q3)], session)
+            assert cc(T, d, session) * x(u) == rhs, (T, d)
 
 
 def test_cc_multiset_examples():

@@ -45,6 +45,7 @@ from tests.oracles import (
     brute_crossers,
     brute_fan,
     brute_noncrossing_maximal,
+    brute_spanning,
     cycle_arrow,
     scan_crossers,
     scan_inner_vertex,
@@ -153,6 +154,46 @@ def test_spanning_arc_examples():
     assert s is not None and Z.is_member(s)
     far = Z.spanning_arc(Arc(40, 44))
     assert far is not None and Z.is_member(far)
+
+
+def _spanning_pool(seed):
+    """The line-model families after 0, 2, 4 and 6 random flips, then 30
+    random 5- to 13-gons; each with the window its arcs are drawn from."""
+    rng = random.Random(seed)
+    for base in (nested_zigzag(0), staircase((0, 2), "RRU"), staircase((1, 3), "URRUU"), fountain(0)):
+        for flips in (0, 2, 4, 6):
+            T = base
+            for _ in range(flips):
+                T = T.flip(rng.choice(T.members_in_window(-6, 7))).new_triangulation
+            yield T, (-7, 8)
+    for _ in range(30):
+        hi = rng.randint(4, 12)
+        yield polygon(0, hi, sorted(random_polygon_triangulation(0, hi, rng))), (0, hi)
+
+
+def test_spanning_arc_is_the_innermost_spanning_member():
+    for T, (lo, hi) in _spanning_pool(11):
+        for d in window_arcs(lo, hi):
+            assert T.spanning_arc(d) == brute_spanning(T, d, lo - 20, hi + 20), (T, d)
+
+
+def test_spanning_arc_none_cases():
+    assert fountain(0).spanning_arc(Arc(-1, 1)) is None  # straddles the fountain
+    assert fountain(0, [(-2, 0), (0, 2)]).spanning_arc(Arc(-2, 3)) is None
+    P = polygon(0, 5, [(0, 2), (0, 3), (0, 4)])
+    assert P.spanning_arc(Arc(0, 5)) is None  # the frame
+    assert P.spanning_arc(Arc(0, 4)) is None  # a member under the frame
+    assert P.spanning_arc(Arc(1, 5)) is None  # its crossers reach the frame
+    assert P.spanning_arc(Arc(0, 3)) == Arc(0, 4) and P.spanning_arc(Arc(1, 3)) == Arc(0, 3)
+
+
+def test_spanning_arc_on_a_hole_raises_not_maximal():
+    # (0, 3) removed from the pentagon leaves (0, 3) and (2, 4) crossing nothing
+    P = polygon(0, 4, [(0, 2), (0, 3)])
+    hole = Triangulation(P.base, frozenset(), frozenset({Arc(0, 3)}))
+    for d in (Arc(0, 3), Arc(1, 3), Arc(2, 4)):
+        with pytest.raises(NotMaximal, match="crosses no member"):
+            hole.spanning_arc(d)
 
 
 def test_flip_fountain_example():
@@ -376,6 +417,17 @@ def test_fans_match_brute_force(seed):
                     T.fan(v)
                 continue
             assert list(T.fan(v)) == brute_fan(T, v, -60, 60), (T, v)
+
+
+def test_fans_match_brute_force_after_many_flips():
+    rng = random.Random(5)
+    for T in (nested_zigzag(0), fountain(0), staircase((0, 2), "RRUURRRU")):
+        for _ in range(40):
+            T = T.flip(rng.choice(T.members_in_window(-10, 11))).new_triangulation
+        assert len(T.added) >= 10
+        for v in range(-12, 13):
+            if v != T.base.fountain:
+                assert list(T.fan(v)) == brute_fan(T, v, -60, 60), (T, v)
 
 
 def _assert_queries_match_the_scans(T, lo, hi):
@@ -615,12 +667,12 @@ def test_polygon_operations_refuse_under_python_O():
 # Calls on a value that is not an arc of the model.  Each names the module
 # it imports from, so the same table runs in a fresh `python -O`.
 NON_ARC_SETUP = (
-    "from infcc.arcs import Arc, Edge\n"
+    "from infcc.arcs import Arc, Edge, shift\n"
     "from infcc.cc_direct import cc_direct\n"
     "from infcc.exchange import cc, is_reachable\n"
     "from infcc.ktheory import coindex, index\n"
     "from infcc.modules import g_module\n"
-    "from infcc.reduction import cc_bar, perp, u_of\n"
+    "from infcc.reduction import cc_bar, cofinite_uspec_for, perp, u_of\n"
     "from infcc.triangulation import fountain, nested_zigzag, polygon\n"
     "P = polygon(0, 5, [(0, 2), (0, 3), (0, 4)])\n"
     "Z = nested_zigzag(0)\n"
@@ -633,6 +685,7 @@ NON_ARC_CALLS = [
     "cc(Z, (0, 5))", "cc_direct(P, (0, 3))", "index(P, (0, 3))", "coindex(P, (0, 3))",
     "g_module(Z, (0, 5))", "g_module(P, (0, 5))", "cc_bar(Z, U, (0, 5))", "P.rotate((0, 3), 1)",
     "Z.crossers((0, 5))", "Z.spanning_arc((0, 5))", "perp((0, 5), U, 1)", "is_reachable(Z, (0, 5))",
+    "shift((0, 5), 1)", "Z.quiver(vertices=[(0, 2), (-1, 2)])", "cofinite_uspec_for(Z, (0, 3))",
 ]
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import infcc
 from infcc.arcs import Arc, Frozen
-from infcc.errors import InvalidModule, InvalidSpec
+from infcc.errors import InvalidModule
 from infcc.exchange import CCSession, cc, is_reachable
 from infcc.modules import StringModule, g_module, submodule_classes
 from infcc.reduction import reduce, u_of
@@ -91,12 +91,10 @@ def test_string_module_walk_checks():
     assert not StringModule((), ()) and len(StringModule((Arc(0, 2),), ())) == 1
 
 
-def test_session_pivot_is_checked():
-    with pytest.raises(InvalidSpec, match="pivot must be 'first' or 'last'"):
-        CCSession(pivot="middle")
-    session = CCSession(pivot="last")
+def test_a_session_equals_only_itself():
+    session = CCSession()
     cc(fountain(0), Arc(1, 4), session)
-    assert session.memo and session == session and session != CCSession(pivot="last")
+    assert session.memo and session == session and session != CCSession()
     assert CCSession() != CCSession()
     with pytest.raises(TypeError):
         hash(session)
@@ -172,7 +170,7 @@ REPRS = [
     (lambda: Frontier("UR", 1), "Frontier(word='UR', anchor=1, start=None)"),
     (lambda: g_module(polygon(0, 4, [(0, 2), (0, 3)]), Arc(1, 4)),
      "StringModule(walk=(Arc(m=0, n=2), Arc(m=0, n=3)), dirs=(1,))"),
-    (lambda: CCSession(), "CCSession(pivot='first', memo={})"),
+    (lambda: CCSession(), "CCSession(memo={})"),
     (lambda: is_reachable(fountain(0), Arc(1, 4)),
      "ReachabilityVerdict(reachable=True, region='e_plus', fountain=0)"),
     (lambda: tiling_window(staircase((0, 2), ""), 0, 3),
