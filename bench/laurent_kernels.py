@@ -11,9 +11,11 @@ full`` per source tree.  A child times, on ``nested_zigzag(0)``:
   (``json.dumps(p.to_json())``, the call the CLI makes) on three answers:
   ``cc((2, 11))`` (the bare names), ``cc((2, 10))``, 987 terms (suffix
   ``_987``), and ``cc((2, 5))``, 8 terms (suffix ``_8``);
-* ``cc_k14``, ``cc_k22`` and ``cc_k26``: ``cc((2, 10))``, ``cc((2, 14))``
-  and ``cc((2, 16))`` on a fresh session, with 14, 22 and 26 crossers and
-  987, 46,368 and 317,811 terms; ``cc_k22_peak_mb`` and ``cc_k26_peak_mb``
+* ``cc_k8``, ``cc_k14``, ``cc_k22`` and ``cc_k26``: ``cc((2, 7))``,
+  ``cc((2, 10))``, ``cc((2, 14))`` and ``cc((2, 16))`` on a fresh session,
+  with 8, 14, 22 and 26 crossers and 55, 987, 46,368 and 317,811 terms
+  (``cc_k8`` is where cc_deep's median operation sits);
+  ``cc_k22_peak_mb`` and ``cc_k26_peak_mb``
   are the ``tracemalloc`` peaks of one such call.
 
 A kernel figure is the median of its repetitions inside the child.
@@ -33,7 +35,7 @@ from harness import ROOT, child, compare, run, time_median
 OUT = ROOT / "BENCH_laurent.json"
 RENDERINGS = ("format_fraction", "to_json", "json_dumps")
 SIZES = {"": (11, 2584), "_987": (10, 987), "_8": (5, 8)}  # suffix: (n of arc (2, n), terms)
-CC_FRESH = {"cc_k14": 10, "cc_k22": 14, "cc_k26": 16}  # name: n of arc (2, n)
+CC_FRESH = {"cc_k8": 7, "cc_k14": 10, "cc_k22": 14, "cc_k26": 16}  # name: n of arc (2, n)
 PEAKS = ("cc_k22", "cc_k26")  # also measured for their tracemalloc peak
 KERNELS = ("mul", "div_exact_variable",
            *(r + suffix for suffix in SIZES for r in RENDERINGS), *CC_FRESH)
@@ -97,7 +99,7 @@ if __name__ == "__main__":
         __doc__, OUT, ROUNDS, _round,
         sizes={
             "family": "nested_zigzag(0)", "mul_by_terms": 8,
-            "cc_k14_terms": 987, "cc_k22_terms": 46368, "cc_k26_terms": 317811,
+            "cc_k8_terms": 55, "cc_k14_terms": 987, "cc_k22_terms": 46368, "cc_k26_terms": 317811,
             **{name + "_arc": [2, n] for name, n in CC_FRESH.items()},
             **{"terms" + suffix: terms for suffix, (_, terms) in SIZES.items()},
             **{"arc" + suffix: [2, n] for suffix, (n, _) in SIZES.items()},

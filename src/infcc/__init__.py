@@ -2,8 +2,9 @@
 
 The package models indecomposable objects as integer arcs, cluster tilting
 subcategories as (possibly infinite) triangulations, and computes cluster
-variables two independent ways: a Ptolemy exchange recursion that works on
-the infinite families, and a direct submodule-counting formula on finite
+variables two independent ways: one Ptolemy exchange per member an arc
+crosses, in a single pass back along the crossers, which works on the
+infinite families, and a direct submodule-counting formula on finite
 polygon models.  Reduction to polygons, split K-theory bookkeeping, and
 tiling generation tie the routes together with exact integer arithmetic.
 

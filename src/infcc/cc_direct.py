@@ -1,7 +1,7 @@
 """Direct cluster-character formula on finite polygon models.
 
 Independent route to the same Laurent polynomials as the exchange
-recursion: for an arc c of a triangulated polygon,
+pass: for an arc c of a triangulated polygon,
 
     value(c) = x^(index(c)) * sum over submodules N of the string module
                of c of  x^(theta(N)),

@@ -51,7 +51,9 @@ class TooLarge(InfccError):
 
 
 class NotMaximal(InfccError):
-    """A non-member arc crosses no member: the arcs are not a triangulation."""
+    """The arcs are not a triangulation: a hole shows where a non-member
+    crosses no member, where consecutive crossers of an arc share no end,
+    or where a triangle an arc crosses lacks a side."""
 
 
 class InfiniteCrossers(InfccError):

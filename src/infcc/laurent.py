@@ -220,16 +220,29 @@ def _order(rows: List[str]) -> List[int]:
 
 def _repack(p: "LaurentPoly", dst: VarIndex) -> Tuple["LaurentPoly", VarIndex]:
     """(value, index): p with keys valid on `dst`, or on a copy of `dst`
-    extended by the arcs it lacks.  Neither index changes."""
+    extended by the arcs it lacks.  Neither index changes.
+
+    The decoded columns are copied, one strided slice assignment each, into
+    a zeroed byte image of the terms laid out on `dst`; each key is read
+    back from its row with one `int.from_bytes` and un-biased (`_decode`
+    in reverse).
+    """
     src = p.index
     arcs, columns = _decode(p._terms, p.shift, src)
     if all(dst.slots.get(a) == src.slots[a] for a in arcs):
         return p, dst
     dst = dst.extended(arcs)
-    keys = [0] * len(p._terms)
+    n = len(dst)
+    width = _FIELD_BYTES * n
+    image = memoryview(bytearray(width * len(p._terms)))
+    fields = image.cast("i")
+    slots = dst.slots
     for a, col in zip(arcs, columns):
-        sh = FIELD_BITS * dst.slots[a]
-        keys = [k + (e << sh) for k, e in zip(keys, col.tolist())]
+        fields[slots[a]::n] = col
+    bias = _bias(n)
+    byteorder = sys.byteorder
+    keys = [(int.from_bytes(image[i:i + width], byteorder) ^ bias) - bias
+            for i in range(0, len(image), width)]
     return _new(dict(zip(keys, p._terms.values())), dst, p.bound), dst
 
 

@@ -35,10 +35,10 @@ Fans
 ----
 ``Triangulation.fan(v)`` is the ascending tuple of member co-endpoints at
 the vertex v.  It is read once per vertex from ``base.partners(v)`` and one
-pass over `added`, and kept in a memo that takes no part in equality or
-hashing.  At a fountain vertex the fan is cofinite, so ``fan`` raises
-NotLocallyFinite there.  The crossing and triangle queries read fans
-instead of testing candidate arcs:
+pass each over `added` and `removed`, and kept in a memo that takes no part
+in equality or hashing.  At a fountain vertex the fan is cofinite, so
+``fan`` raises NotLocallyFinite there.  The crossing and triangle queries
+read fans instead of testing candidate arcs:
 
 * ``crossers(d)`` is empty for a member; otherwise every crossing member
   has exactly one endpoint v strictly inside d, so it is read off the fans
@@ -373,8 +373,7 @@ class Triangulation(Frozen):
         if f is None:
             ends = set(self.base.partners(v))
             ends.update(a.n if a.m == v else a.m for a in self.added if v in a)
-            if self.removed:
-                ends = {w for w in ends if Arc(min(v, w), max(v, w)) not in self.removed}
+            ends.difference_update(a.n if a.m == v else a.m for a in self.removed if v in a)
             f = self._fans[v] = tuple(sorted(ends))
         return f
 
@@ -637,12 +636,6 @@ def check_window(lo: int, hi: int) -> None:
     """Raise InvalidSpec unless the window [lo, hi] holds an arc."""
     if hi - lo < 2:
         raise InvalidSpec(f"window [{lo},{hi}] holds no arc: need lo <= hi - 2")
-
-
-def crossing_order(d: Arc, arcs: Iterable[Arc]) -> List[Arc]:
-    """Arcs that all cross d, sorted in the order they cross d from d.m."""
-    p = d.m
-    return sorted(arcs, key=lambda x: (x.n, 0, -x.m) if x.m < p else (x.m, 1, -x.n))
 
 
 def exchange_rule(t: Arc, v: int, x: int) -> Tuple[Tuple[int, int, int, int], Pair,

@@ -109,7 +109,7 @@ def criterion_1_cluster_map(rng, size: str) -> Result:
 
 
 def criterion_2_oracle_equivalence(rng, size: str) -> Result:
-    """Direct formula equals the exchange recursion on small polygons."""
+    """Direct formula equals the exchange pass on small polygons."""
     cases = 0
     his = (4, 5, 6) if size == "full" else (4, 5)
     for hi in his:

@@ -6,12 +6,37 @@ the closed-form implementations have something dumber to disagree with.
 
 from itertools import combinations
 
-from infcc.arcs import Arc, crosses
-from infcc.triangulation import crossing_order
+from infcc.arcs import Arc, crosses, seg
+
+
+def crossing_order(d, arcs):
+    """Arcs that all cross d, sorted in the order they cross d from d.m."""
+    p = d.m
+    return sorted(arcs, key=lambda x: (x.n, 0, -x.m) if x.m < p else (x.m, 1, -x.n))
 
 
 def window_arcs(lo, hi):
     return [Arc(m, n) for m in range(lo, hi - 1) for n in range(m + 2, hi + 1)]
+
+
+def flipped_pool(seed):
+    """Test triangulations, each with the window its arcs are drawn from:
+    `nested_zigzag(0)`, two staircases with words and `fountain(0)` after
+    0, 2, 4 and 6 random flips, then 30 random 5- to 13-gons."""
+    import random
+
+    from infcc.triangulation import fountain, nested_zigzag, polygon, random_polygon_triangulation, staircase
+
+    rng = random.Random(seed)
+    for base in (nested_zigzag(0), staircase((0, 2), "RRU"), staircase((1, 3), "URRUU"), fountain(0)):
+        for flips in (0, 2, 4, 6):
+            T = base
+            for _ in range(flips):
+                T = T.flip(rng.choice(T.members_in_window(-6, 7))).new_triangulation
+            yield T, (-7, 8)
+    for _ in range(30):
+        hi = rng.randint(4, 12)
+        yield polygon(0, hi, sorted(random_polygon_triangulation(0, hi, rng))), (0, hi)
 
 
 def brute_crossers(T, d, lo, hi):
@@ -50,6 +75,51 @@ def scan_crossers(T, d):
         ends.update(a.n if a.m == v else a.m for a in T.added if v in a)
         cands.update(Arc(min(v, w), max(v, w)) for w in ends)
     return crossing_order(d, [x for x in cands if T.is_member(x) and crosses(x, d)])
+
+
+def recursive_cc(T, d, session=None):
+    """cc of the object d by the 4-way Ptolemy recursion.
+
+    A non-member x is resolved at its first crosser u: the four sides of the
+    quadrilateral on the ends of x and u give cc(x) * x_u = cc(s1) * cc(s2)
+    + cc(s3) * cc(s4).  No member crosses u, so the members crossing a side
+    are among those crossing x, u excluded; the list shrinks at every level.
+    Memoised on `session` (a CCSession) by (T, x).
+    """
+    from infcc.errors import NotMaximal, Unreachable
+    from infcc.exchange import CCSession, is_reachable
+    from infcc.laurent import ONE, LaurentPoly
+
+    if session is None:
+        session = CCSession()
+    T.check_seg(d)
+    if T.is_boundary(d):
+        return ONE
+    verdict = is_reachable(T, d)
+    if not verdict.reachable:
+        raise Unreachable(d, verdict.fountain)
+
+    def rec(x, cands=None):
+        if T.is_boundary(x):
+            return ONE
+        if T.is_member(x):
+            return LaurentPoly.variable(x, session.index)
+        hit = session.memo.get((T, x))
+        if hit is not None:
+            return hit
+        crossers = T.crossers(x) if cands is None else crossing_order(x, [c for c in cands if crosses(c, x)])
+        if not crossers:
+            raise NotMaximal(f"non-member {tuple(x)} crosses no member: not a triangulation")
+        u = crossers[0]
+        rest = crossers[1:]
+        q0, q1, q2, q3 = sorted((x.m, x.n, u.m, u.n))
+        parts = [rec(seg(a, b), rest) for a, b in ((q0, q1), (q2, q3), (q1, q2), (q0, q3))]
+        session.index.slot(u)
+        value = (parts[0] * parts[1] + parts[2] * parts[3]).div_exact_variable(u)
+        session.memo[(T, x)] = value
+        return value
+
+    return rec(d)
 
 
 def hom_vanishes_polygon(P, d, targets, k):
@@ -261,6 +331,23 @@ def plane_fill(origin, word, bbox):
         pending = [p for p in reversed(pending) if p not in r]
     return {(i, j): r[(i, j)] for i in range(i_lo, i_hi + 1) for j in range(j_lo, j_hi + 1)
             if (i, j) in r}
+
+
+def column_repack(p, dst):
+    """(value, index) of laurent._repack, one exponent column at a time:
+    every key is rebuilt by adding e << (FIELD_BITS * slot) per arc."""
+    from infcc.laurent import FIELD_BITS, _decode, _new
+
+    src = p.index
+    arcs, columns = _decode(p._terms, p.shift, src)
+    if all(dst.slots.get(a) == src.slots[a] for a in arcs):
+        return p, dst
+    dst = dst.extended(arcs)
+    keys = [0] * len(p._terms)
+    for a, col in zip(arcs, columns):
+        sh = FIELD_BITS * dst.slots[a]
+        keys = [k + (e << sh) for k, e in zip(keys, col.tolist())]
+    return _new(dict(zip(keys, p._terms.values())), dst, p.bound), dst
 
 
 class NaiveLaurent:

@@ -1,22 +1,26 @@
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
-
 from infcc.arcs import Arc, Edge, crosses, seg
+from infcc.cc_direct import cc_direct
 from infcc.errors import NotMaximal, Unreachable
 from infcc.exchange import CCSession, cc, cc_multiset, is_reachable
 from infcc.laurent import ONE, LaurentPoly
 from infcc.triangulation import (
     Triangulation,
-    crossing_order,
+    build,
     fountain,
     nested_zigzag,
     polygon,
     random_polygon_triangulation,
     staircase,
 )
+from tests.oracles import flipped_pool, recursive_cc, window_arcs
+from tests.subproc import src_env
 
 x = LaurentPoly.variable
 
@@ -65,8 +69,8 @@ def test_cc_unreachable():
 
 
 def test_exchange_relation_at_the_last_crosser():
-    # the recursion resolves d at its first crosser; the relation holds at
-    # the last one too
+    # the pass resolves d at its first crosser; the relation holds at the
+    # last one too
     for T in (nested_zigzag(0), fountain(0), staircase((0, 2), "RRUUR", [(0, 3)])):
         session = CCSession()
         for d in [Arc(m, n) for m in range(-4, 3) for n in range(m + 2, 5)]:
@@ -166,26 +170,122 @@ def test_crossers_computed_once_per_cc(monkeypatch):
     assert calls == []
 
 
-def test_quad_side_crossers_come_from_the_parent():
-    # the identity the recursion relies on: a quad side is crossed exactly
-    # by the members crossing d, other than the pivot u, that cross the side
+def test_cc_equals_the_recursion():
+    # every reachable arc of the pool's windows, and cc_direct on its polygons
+    count = 0
+    for T, (lo, hi) in flipped_pool(11):
+        session, oracle = CCSession(), CCSession()
+        for d in (d for d in window_arcs(lo, hi) if is_reachable(T, d).reachable):
+            value = cc(T, d, session)
+            assert value == recursive_cc(T, d, oracle) == cc(T, d), (T, d)
+            if T.is_polygon:
+                assert value == cc_direct(T, d), (T, d)
+            count += 1
+        assert session.memo.keys() == oracle.memo.keys(), T
+    assert count == 2244
+
+
+def test_memo_entries_and_warm_repeats(monkeypatch):
+    # one entry per non-member end of a crosser joined to q, and d itself
+    Z = nested_zigzag(0)
+    for n, entries in ((10, 14), (14, 22), (16, 26)):
+        session, oracle = CCSession(), CCSession()
+        value = cc(Z, Arc(2, n), session)
+        assert value == recursive_cc(Z, Arc(2, n), oracle)
+        assert len(session.memo) == entries and session.memo.keys() == oracle.memo.keys()
+    calls = []
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda p, q: calls.append(1) or mul(p, q))
+    assert cc(Z, Arc(2, 16), session) is value and calls == []
+    # a new arc with the same far end computes only the steps not yet memoised
+    # (two products each); the others are read from the memo
+    session = CCSession()
+    cc(Z, Arc(4, 16), session)
+    size = len(session.memo)
+    calls.clear()
+    assert cc(Z, Arc(2, 16), session) == value
+    assert len(calls) == 2 * (len(session.memo) - size) < 2 * entries
+
+
+def test_the_crossing_sequence_walks_through_triangles():
+    # the identity the pass relies on: consecutive crossers c_i, c_(i+1)
+    # share exactly one end s; the third side (o, w) of their triangle is a
+    # member or boundary; c_(i+1) is the first crosser of (o, q); and both
+    # ends of the first and of the last crosser join p and q by sides
     rng = random.Random(3)
     for T in (nested_zigzag(0), fountain(0), staircase((0, 2), "RRUUR"),
               polygon(0, 11, sorted(random_polygon_triangulation(0, 11, rng)))):
         for t in rng.sample(T.members_in_window(-5, 11), 3):
             T = T.flip(t).new_triangulation
         lo, hi = (0, 11) if T.is_polygon else (-5, 10)
-        for d in [Arc(m, n) for m in range(lo, hi - 1) for n in range(m + 2, hi + 1)]:
+        for d in window_arcs(lo, hi):
             if T.is_member(d) or T.is_boundary(d) or not is_reachable(T, d).reachable:
                 continue
+            p, q = d
             crossers = T.crossers(d)
-            for u in (crossers[0], crossers[-1]):
-                q0, q1, q2, q3 = sorted((d.m, d.n, u.m, u.n))
-                for a, b in ((q0, q1), (q2, q3), (q1, q2), (q0, q3)):
-                    s = seg(a, b)
-                    if isinstance(s, Arc) and not T.is_boundary(s):
-                        rest = [c for c in crossers if c != u and crosses(c, s)]
-                        assert T.crossers(s) == crossing_order(s, rest), (d, u, s)
+            for c, after in zip(crossers, crossers[1:]):
+                shared = set(c) & set(after)
+                assert len(shared) == 1, (d, c, after)
+                (s,) = shared
+                o, w = c.m + c.n - s, after.m + after.n - s
+                assert T.side_exists(min(o, w), max(o, w)), (d, c, after)
+                # c_(i+1) is the crosser of (o, q) nearest o
+                assert T.crossers(Arc(min(o, q), max(o, q)))[0 if o < q else -1] == after, (d, c, after)
+            for v in crossers[0]:
+                assert T.side_exists(min(p, v), max(p, v)), (d, v)
+            for v in crossers[-1]:
+                assert T.side_exists(min(v, q), max(v, q)), (d, v)
+
+
+def _holed(base, removed):
+    """The triangulation of the `build` spec {"base": base} with the members
+    `removed` taken out."""
+    T = build({"base": base})
+    return Triangulation(T.base, T.added, T.removed | frozenset(Arc(*a) for a in removed))
+
+
+FAN = {"kind": "polygon", "lo": 0, "hi": 5, "diagonals": [[0, 2], [0, 3], [0, 4]]}
+# (base, members removed, arc, what the pass meets)
+HOLES = [
+    ({"kind": "polygon", "lo": 0, "hi": 4, "diagonals": [[0, 2], [0, 3]]}, [(0, 3)], (0, 3),
+     "crosses no member"),
+    ({"kind": "polygon", "lo": 0, "hi": 5, "diagonals": [[1, 5], [1, 4], [2, 4]]}, [(1, 4)], (0, 3),
+     "share no end"),
+    ({"kind": "zigzag", "anchor": 0}, [(-1, 3)], (1, 4), "share no end"),
+    (FAN, [(0, 3)], (1, 5), r"side \(2, 4\)"),  # a middle triangle
+    (FAN, [(0, 4)], (1, 4), r"side \(0, 4\)"),  # the last triangle
+    (FAN, [(0, 2)], (1, 4), r"side \(1, 3\)"),  # the first triangle
+]
+
+
+@pytest.mark.parametrize("base, removed, d, match", HOLES)
+def test_holes_raise_not_maximal(base, removed, d, match):
+    T = _holed(base, removed)
+    with pytest.raises(NotMaximal, match=match):
+        cc(T, Arc(*d))
+    with pytest.raises(NotMaximal):
+        recursive_cc(T, Arc(*d))  # the recursion refused them too
+
+
+def test_holes_raise_not_maximal_under_python_O():
+    # python -O strips asserts: the hole checks must not be asserts
+    code = (
+        "from infcc.arcs import Arc\n"
+        "from infcc.errors import NotMaximal\n"
+        "from infcc.exchange import cc\n"
+        "from infcc.triangulation import Triangulation, build\n"
+        f"for base, removed, d, _ in {HOLES!r}:\n"
+        "    T = build({'base': base})\n"
+        "    T = Triangulation(T.base, T.added, T.removed | frozenset(Arc(*a) for a in removed))\n"
+        "    try:\n"
+        "        cc(T, Arc(*d))\n"
+        "    except NotMaximal:\n"
+        "        print('NotMaximal')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "NotMaximal\n" * len(HOLES)
 
 
 def test_non_maximal_triangulation_raises_typed_error():

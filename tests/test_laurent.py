@@ -13,7 +13,7 @@ from infcc.exchange import CCSession, cc
 from infcc.laurent import MAX_EXPONENT, ONE, LaurentPoly, VarIndex, format_fraction
 from infcc.triangulation import nested_zigzag
 
-from tests.oracles import NaiveLaurent
+from tests.oracles import NaiveLaurent, column_repack
 
 A = Arc(0, 2)
 B = Arc(0, 3)
@@ -546,3 +546,57 @@ def test_warm_session_multiplies_nothing(monkeypatch):
     calls.clear()
     assert cc(Z, Arc(2, 9), ses) is first
     assert calls == []
+
+
+def _index(*arcs):
+    index = VarIndex()
+    for a in arcs:
+        index.slot(a)
+    return index
+
+
+D, E = Arc(-4, 1), Arc(2, 9)
+
+
+@pytest.mark.parametrize("case", ["permuted", "shifted", "negative", "extended", "constant", "constant_term"])
+def test_repack_through_the_byte_image_matches_the_column_repack(case):
+    src = _index(A, B, C, D)
+    p = LaurentPoly({((A, 2), (B, 1)): 3, ((C, 1), (D, 4)): -5, ((A, 1),): 7}, src)
+    dst = _index(D, C, B, A)
+    if case == "shifted":
+        p = (p * x(B, src) * x(D, src)).div_exact_variable(C)
+        assert p.shift
+    elif case == "negative":
+        p = LaurentPoly({((A, -3), (D, 2)): 2, ((B, -1), (C, -7)): 1, ((D, -MAX_EXPONENT),): 4}, src)
+    elif case == "extended":
+        dst = _index(E, B, D)  # lacks A and C: repacked onto a copy
+    elif case == "constant":
+        p = LaurentPoly({(): 6}, src)
+    elif case == "constant_term":
+        p = p + LaurentPoly.const(9)
+    got, got_index = laurent._repack(p, dst)
+    want, want_index = column_repack(p, dst)
+    assert got_index.arcs == want_index.arcs
+    assert got.terms == want.terms and got.bound == want.bound and got == p
+    if case == "constant":  # key 0 is valid on every index: nothing to repack
+        assert got is p and got_index is dst
+    elif case == "extended":
+        assert got.index is got_index is not dst and len(dst) == 3
+    else:
+        assert got.index is got_index is dst
+
+
+def test_repack_matches_the_column_repack_on_random_layouts():
+    rng = random.Random(6)
+    pool = [Arc(m, m + w) for m in range(-3, 3) for w in (2, 3, 5)]
+    for _ in range(200):
+        src = _index(*rng.sample(pool, rng.randint(1, len(pool))))
+        terms = {tuple((a, rng.randint(-40, 40)) for a in rng.sample(src.arcs, rng.randint(0, len(src)))):
+                 rng.randint(-9, 9) or 1 for _ in range(rng.randint(1, 12))}
+        p = LaurentPoly(terms, src)
+        if rng.random() < 0.5:
+            p = p.div_exact_variable(rng.choice(src.arcs))
+        dst = _index(*rng.sample(pool, rng.randint(1, len(pool))))
+        got, got_index = laurent._repack(p, dst)
+        want, want_index = column_repack(p, dst)
+        assert got_index.arcs == want_index.arcs and got.terms == want.terms and got == p

@@ -47,6 +47,7 @@ from tests.oracles import (
     brute_noncrossing_maximal,
     brute_spanning,
     cycle_arrow,
+    flipped_pool,
     scan_crossers,
     scan_inner_vertex,
     scan_outer_vertex,
@@ -156,23 +157,8 @@ def test_spanning_arc_examples():
     assert far is not None and Z.is_member(far)
 
 
-def _spanning_pool(seed):
-    """The line-model families after 0, 2, 4 and 6 random flips, then 30
-    random 5- to 13-gons; each with the window its arcs are drawn from."""
-    rng = random.Random(seed)
-    for base in (nested_zigzag(0), staircase((0, 2), "RRU"), staircase((1, 3), "URRUU"), fountain(0)):
-        for flips in (0, 2, 4, 6):
-            T = base
-            for _ in range(flips):
-                T = T.flip(rng.choice(T.members_in_window(-6, 7))).new_triangulation
-            yield T, (-7, 8)
-    for _ in range(30):
-        hi = rng.randint(4, 12)
-        yield polygon(0, hi, sorted(random_polygon_triangulation(0, hi, rng))), (0, hi)
-
-
 def test_spanning_arc_is_the_innermost_spanning_member():
-    for T, (lo, hi) in _spanning_pool(11):
+    for T, (lo, hi) in flipped_pool(11):
         for d in window_arcs(lo, hi):
             assert T.spanning_arc(d) == brute_spanning(T, d, lo - 20, hi + 20), (T, d)
 
